@@ -23,7 +23,8 @@ from pathlib import Path
 from . import tensorfile
 from .cpfit import SynthSpec, cp_als, synthesize
 from .diagnostics import coherence
-from .harness import ls_experiment, norm_experiment, summarize, write_records_csv
+from .harness import (ls_experiment, norm_experiment, summarize, write_records_csv,
+                      write_replay_csv)
 from .sketch import make_plan, sketch_modewise, targets_from_ratio
 from .tensor import DenseTensor, norm
 
@@ -62,35 +63,30 @@ def _second_stage(text: str):
             f"expected M:VARIANT or 'identity', got {text!r}")
 
 
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shape", type=_ints_csv, help="extents, e.g. 100,100,100")
-    p.add_argument("--rank", type=int, help="number of rank-one terms")
-    p.add_argument("--kind", choices=("gaussian", "coherent"), default="gaussian")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="noise level for coherent factors")
-    p.add_argument("--gen-seed", type=_nonneg_int, default=0,
-                   help="seed for the synthetic data itself")
-
-
 def _synth_spec(shape, rank, kind, sigma, seed) -> SynthSpec:
     if shape is None or rank is None:
         raise ValueError("either --input or both --shape and --rank are required")
     return SynthSpec(tuple(shape), rank, kind, sigma, seed)
 
 
+def _load_sidecar(path):
+    """Return (descriptor-or-None, model-or-None) for a DTEN file; the model
+    is rebuilt only from a synthesis sidecar written by ``gen``."""
+    if not tensorfile.sidecar_path(path).exists():
+        return None, None
+    meta = tensorfile.read_sidecar(path)
+    if meta.get("format") != "modesketch-synth":
+        return meta, None
+    spec = SynthSpec(tuple(meta["shape"]), meta["rank"], meta["kind"],
+                     meta["sigma"], meta["seed"])
+    return meta, synthesize(spec)[0]
+
+
 def _load_data(args):
     """Return (tensor, model-or-None) from --input or the synthesis flags."""
     if args.input is not None:
         X = tensorfile.read_tensor(args.input)
-        meta = None
-        if tensorfile.sidecar_path(args.input).exists():
-            meta = tensorfile.read_sidecar(args.input)
-        model = None
-        if meta is not None and meta.get("format") == "modesketch-synth":
-            spec = SynthSpec(tuple(meta["shape"]), meta["rank"], meta["kind"],
-                             meta["sigma"], meta["seed"])
-            model, _ = synthesize(spec)
-        return X, model
+        return X, _load_sidecar(args.input)[1]
     spec = _synth_spec(args.shape, args.rank, args.kind, args.sigma, args.gen_seed)
     model, X = synthesize(spec)
     return X, model
@@ -119,33 +115,20 @@ def _cmd_info(args, invocation: str) -> int:
     print(f"tensor_modes={X.ndim}")
     print(f"tensor_entries={X.size}")
     print(f"tensor_norm={norm(X)!r}")
-    if tensorfile.sidecar_path(args.input).exists():
-        meta = tensorfile.read_sidecar(args.input)
+    meta, model = _load_sidecar(args.input)
+    if meta is not None:
         for key in ("rank", "kind", "sigma", "seed"):
             print(f"synth_{key}={meta.get(key)}")
-        if meta.get("format") == "modesketch-synth":
-            spec = SynthSpec(tuple(meta["shape"]), meta["rank"], meta["kind"],
-                             meta["sigma"], meta["seed"])
-            model, _ = synthesize(spec)
-            print(coherence(model).as_text())
+    if model is not None:
+        print(coherence(model).as_text())
     return 0
-
-
-def _resolve_targets(args, shape):
-    if getattr(args, "targets", None) is not None:
-        if len(args.targets) != len(shape):
-            raise ValueError(f"{len(args.targets)} targets for shape {shape}")
-        return tuple(args.targets)
-    if args.cs is not None:
-        if len(args.cs) != 1:
-            raise ValueError("sketch takes a single compression ratio")
-        return targets_from_ratio(shape, args.cs[0])
-    return None
 
 
 def _cmd_sketch(args, invocation: str) -> int:
     X = tensorfile.read_tensor(args.input)
-    targets = _resolve_targets(args, X.shape)
+    targets = args.targets
+    if targets is None and args.cs is not None:
+        targets = targets_from_ratio(X.shape, args.cs)
     plan = make_plan(X.shape, targets, args.variant, seed=args.seed)
     Y = sketch_modewise(plan, X)
     tensorfile.write_tensor(args.out, Y)
@@ -184,20 +167,16 @@ def _cmd_ls_exp(args, invocation: str) -> int:
 
 def _cmd_cpals(args, invocation: str) -> int:
     X = tensorfile.read_tensor(args.input)
-    compression = args.cs[0] if args.cs is not None else None
     model, history = cp_als(X, args.rank, max_iters=args.iters, tol=args.tol,
-                            seed=args.seed, compression=compression,
+                            seed=args.seed, compression=args.cs,
                             variant=args.variant)
     prefix = Path(args.out_prefix)
     tensorfile.write_tensor(f"{prefix}.alpha.dten", DenseTensor(model.weights))
     for j, f in enumerate(model.factors):
         tensorfile.write_tensor(f"{prefix}.factor{j}.dten", DenseTensor(f))
-    lines = [f"# {invocation}", "iter,e_cpd,elapsed_s"]
-    for rec in history:
-        elapsed = repr(rec.elapsed_s) if args.timing else ""
-        lines.append(f"{rec.iteration},{rec.e_cpd!r},{elapsed}")
-    Path(f"{prefix}.history.csv").write_text("\n".join(lines) + "\n",
-                                             encoding="utf-8", newline="\n")
+    rows = [(str(rec.iteration), repr(rec.e_cpd), rec.elapsed_s) for rec in history]
+    write_replay_csv(f"{prefix}.history.csv", invocation, "iter,e_cpd,elapsed_s",
+                     rows, args.timing)
     print(f"fit rank={args.rank} sweeps={len(history)} "
           f"e_cpd={history[-1].e_cpd:.6g} prefix={prefix}")
     return 0
@@ -223,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sketch", help="write a modewise-sketched tensor")
     p.add_argument("--input", required=True)
-    p.add_argument("--cs", type=_floats_csv, default=None)
+    p.add_argument("--cs", type=float, default=None)
     p.add_argument("--targets", type=_ints_csv, default=None)
     p.add_argument("--variant", choices=("gaussian", "fjlt", "identity"),
                    default="fjlt")
@@ -231,31 +210,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sketch)
 
-    p = sub.add_parser("norm-exp", help="relative-norm sweep over c_s")
-    p.add_argument("--input", default=None)
-    _add_synth_flags(p)
-    p.add_argument("--cs", type=_floats_csv, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--variant", choices=("gaussian", "fjlt"), default="gaussian")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--input", default=None)
+    sweep.add_argument("--shape", type=_ints_csv, help="extents, e.g. 100,100,100")
+    sweep.add_argument("--rank", type=int, help="number of rank-one terms")
+    sweep.add_argument("--kind", choices=("gaussian", "coherent"), default="gaussian")
+    sweep.add_argument("--sigma", type=float, default=None,
+                       help="noise level for coherent factors")
+    sweep.add_argument("--gen-seed", type=_nonneg_int, default=0,
+                       help="seed for the synthetic data itself")
+    sweep.add_argument("--cs", type=_floats_csv, required=True)
+    sweep.add_argument("--trials", type=int, default=100)
+    sweep.add_argument("--variant", choices=("gaussian", "fjlt"), default="gaussian")
+    sweep.add_argument("--seed", type=_nonneg_int, default=0)
+    sweep.add_argument("--timing", action="store_true",
+                       help="record wall times in the CSV (breaks byte determinism)")
+    sweep.add_argument("--out", required=True)
+
+    p = sub.add_parser("norm-exp", parents=[sweep], help="relative-norm sweep over c_s")
     p.add_argument("--second-stage", type=_second_stage, default=None)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--timing", action="store_true",
-                   help="record wall times in the CSV (breaks byte determinism)")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_norm_exp)
 
-    p = sub.add_parser("ls-exp", help="compressed coefficient-recovery sweep")
-    p.add_argument("--input", default=None)
-    _add_synth_flags(p)
-    p.add_argument("--cs", type=_floats_csv, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--variant", choices=("gaussian", "fjlt"), default="gaussian")
+    p = sub.add_parser("ls-exp", parents=[sweep],
+                       help="compressed coefficient-recovery sweep")
     p.add_argument("--iters", type=int, default=50,
                    help="ALS sweeps when a basis must be fitted")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ls_exp)
 
     p = sub.add_parser("cpals", help="fit a CP model by alternating least squares")
@@ -263,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--cs", type=_floats_csv, default=None,
+    p.add_argument("--cs", type=float, default=None,
                    help="sketch each subproblem at this compression ratio")
     p.add_argument("--variant", choices=("gaussian", "fjlt"), default="gaussian")
     p.add_argument("--seed", type=_nonneg_int, default=0)

@@ -16,8 +16,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .diagnostics import CpModel
-from .embeddings import IdentityEmbedding, derive_seed, make_rng
+from .diagnostics import CpModel, draw_unit_factors
+from .embeddings import derive_seed, make_rng
 from .sketch import SketchPlan, make_plan, sketch_modewise, targets_from_ratio
 from .tensor import DenseTensor, khatri_rao_design, norm, unfold, vectorize
 
@@ -79,13 +79,9 @@ class SynthSpec:
 
 def synthesize(spec: SynthSpec) -> tuple[CpModel, DenseTensor]:
     """Draw a random exact-rank model and its dense expansion."""
-    rng = make_rng(spec.seed)
-    factors = []
-    for n in spec.shape:
-        g = rng.standard_normal((n, spec.rank))
-        f = g if spec.kind == "gaussian" else 1.0 + spec.sigma * g
-        factors.append(f / np.linalg.norm(f, axis=0))
-    model = CpModel(np.ones(spec.rank), tuple(factors))
+    sigma = spec.sigma if spec.kind == "coherent" else None
+    factors = draw_unit_factors(spec.shape, spec.rank, make_rng(spec.seed), sigma)
+    model = CpModel(np.ones(spec.rank), factors)
     return model, model.to_tensor()
 
 
@@ -104,17 +100,24 @@ class LsSolution:
     c_n_alpha: Optional[float] = None
 
 
-def _solve_ls(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_ls(gram: np.ndarray, projected: np.ndarray, design: np.ndarray,
+              rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize ``||rhs - design @ beta||`` for one or many right-hand sides.
 
-    Normal equations first; SVD fallback above GRAM_COND_LIMIT.  Raises
+    ``gram`` and ``projected`` are ``design^H design`` and ``design^H rhs``,
+    which callers may form more cheaply than from ``design``.  Normal
+    equations first; SVD fallback on ``(design, rhs)`` above
+    GRAM_COND_LIMIT.  Returns the coefficients and the Gram condition
+    number.  Raises RuntimeError on a non-finite Gram matrix and
     DegenerateBasisError when the design itself is rank deficient.
     """
-    gram = design.conj().T @ design
+    if not np.all(np.isfinite(gram)):
+        raise RuntimeError("non-finite values in a least-squares problem; the data "
+                           "or the iterates have diverged")
     cond = float(np.linalg.cond(gram))
     if np.isfinite(cond) and cond <= GRAM_COND_LIMIT:
         try:
-            return np.linalg.solve(gram, design.conj().T @ rhs), cond
+            return np.linalg.solve(gram, projected), cond
         except np.linalg.LinAlgError:
             pass
     coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
@@ -127,7 +130,7 @@ def _solve_ls(design: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _coefficient_solution(design: np.ndarray, x: np.ndarray,
                           reference: Optional[np.ndarray]) -> LsSolution:
-    coeffs, cond = _solve_ls(design, x)
+    coeffs, cond = _solve_ls(design.conj().T @ design, design.conj().T @ x, design, x)
     residual = float(np.linalg.norm(x - design @ coeffs))
     ratio = None
     if reference is not None:
@@ -223,20 +226,7 @@ def _als_mode_update(M: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray:
     gram = np.ones((K.shape[1], K.shape[1]), dtype=np.complex128)
     for f in others:
         gram = gram * (f.conj().T @ f)
-    if not np.all(np.isfinite(gram)):
-        raise RuntimeError("non-finite values in an ALS subproblem; the data or "
-                           "the iterates have diverged")
-    cond = float(np.linalg.cond(gram))
-    if np.isfinite(cond) and cond <= GRAM_COND_LIMIT:
-        try:
-            return np.linalg.solve(gram, (M @ K.conj()).T).T
-        except np.linalg.LinAlgError:
-            pass
-    coeffs, _, rank, _ = np.linalg.lstsq(K, M.T, rcond=None)
-    if rank < K.shape[1]:
-        raise DegenerateBasisError(
-            f"rank-deficient subproblem (rank {rank} < {K.shape[1]}) during ALS")
-    return coeffs.T
+    return _solve_ls(gram, (M @ K.conj()).T, K, M.T)[0].T
 
 
 def cp_als(
@@ -296,18 +286,16 @@ def cp_als(
             plan = make_plan(X.shape, sketch_targets, variant,
                              seed=derive_seed(seed, _SWEEP_STREAM, sweep + 1))
         for j in range(d):
+            target = X
             if plan is None:
-                target = X
                 others = [factors[ell] for ell in range(d) if ell != j]
             else:
-                target = X
                 others = []
                 for ell in range(d):
                     if ell == j:
                         continue
                     e = plan.mode_embeddings[ell]
-                    if not isinstance(e, IdentityEmbedding):
-                        target = e.apply_to_mode(target, ell)
+                    target = e.apply_to_mode(target, ell)
                     others.append(e.apply(factors[ell]))
             W = _als_mode_update(unfold(target, j), others)
             norms = np.linalg.norm(W, axis=0)

@@ -10,7 +10,7 @@ silently renormalizing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -205,16 +205,25 @@ class SubgaussianCoherenceStats:
         return float(np.median(self.coherences))
 
 
+def draw_unit_factors(shape: Sequence[int], rank: int, rng: np.random.Generator,
+                      sigma: Optional[float] = None) -> tuple[np.ndarray, ...]:
+    """Per mode, an ``n x rank`` draw of standard normals ``g`` (or
+    ``1 + sigma * g`` when ``sigma`` is given) with unit-norm columns.
+    Modes are drawn in order from ``rng``."""
+    factors = []
+    for n in shape:
+        g = rng.standard_normal((int(n), rank))
+        f = g if sigma is None else 1.0 + sigma * g
+        factors.append(f / np.linalg.norm(f, axis=0))
+    return tuple(factors)
+
+
 def gaussian_cp_model(shape: Sequence[int], rank: int,
                       rng: np.random.Generator) -> CpModel:
     """Unit weights with i.i.d. standard Gaussian factors, columns normalized."""
     if rank < 1:
         raise ValueError("rank must be positive")
-    factors = []
-    for n in shape:
-        f = rng.standard_normal((int(n), rank))
-        factors.append(f / np.linalg.norm(f, axis=0))
-    return CpModel(np.ones(rank), tuple(factors))
+    return CpModel(np.ones(rank), draw_unit_factors(shape, rank, rng))
 
 
 def subgaussian_coherence_check(n: int, r: int, d: int, trials: int,

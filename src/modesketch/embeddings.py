@@ -4,7 +4,8 @@ Two families are provided: explicit Gaussian matrices, and an implicit
 subsampled-DFT operator (random sign flip, unnormalized FFT, random row
 restriction) that is applied through FFTs in O(n log n) time without ever
 materializing the matrix.  An identity marker rounds out the set so that
-sketch plans can leave modes untouched.
+sketch plans can leave modes untouched.  Every class carries a constant
+``kind`` tag naming its variant, which plan descriptors record.
 
 Both random families are scaled so that ``E ||A x||^2 = ||x||^2`` for any
 fixed vector ``x``.  For the subsampled DFT that choice is ``1/sqrt(m)``
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -67,6 +68,7 @@ def _check_vector_length(n: int, x: np.ndarray) -> None:
 class GaussianEmbedding:
     """Explicit ``m x n`` matrix with i.i.d. N(0, 1/m) real entries."""
 
+    kind: ClassVar[str] = "gaussian"
     matrix: np.ndarray
 
     @property
@@ -100,6 +102,7 @@ class FJLTEmbedding:
     signs, runs an FFT (mixed radix, any length), restricts, and scales.
     """
 
+    kind: ClassVar[str] = "fjlt"
     signs: np.ndarray
     rows: np.ndarray
 
@@ -132,12 +135,16 @@ class FJLTEmbedding:
     def scale(self) -> float:
         return 1.0 / math.sqrt(self.m)
 
+    def _transform(self, data: np.ndarray, axis: int) -> np.ndarray:
+        shape = [1] * data.ndim
+        shape[axis] = self.n
+        spectrum = np.fft.fft(data * self.signs.reshape(shape), axis=axis)
+        return np.take(spectrum, self.rows, axis=axis) * self.scale
+
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
         _check_vector_length(self.n, x)
-        flipped = self.signs.reshape((-1,) + (1,) * (x.ndim - 1)) * x
-        spectrum = np.fft.fft(flipped, axis=0)
-        return spectrum[self.rows] * self.scale
+        return self._transform(x, 0)
 
     def apply_to_mode(self, X: DenseTensor, mode: int) -> DenseTensor:
         if not 0 <= mode < X.ndim:
@@ -145,11 +152,7 @@ class FJLTEmbedding:
         if X.shape[mode] != self.n:
             raise ValueError(f"mode {mode} extent {X.shape[mode]} does not match "
                              f"embedding source dim {self.n}")
-        shape = [1] * X.ndim
-        shape[mode] = self.n
-        spectrum = np.fft.fft(X.data * self.signs.reshape(shape), axis=mode)
-        out = np.take(spectrum, self.rows, axis=mode) * self.scale
-        return DenseTensor(out, copy=False)
+        return DenseTensor(self._transform(X.data, mode), copy=False)
 
     def as_matrix(self) -> np.ndarray:
         # Columns of the unnormalized DFT are FFTs of the standard basis.
@@ -161,6 +164,7 @@ class FJLTEmbedding:
 class IdentityEmbedding:
     """Marker leaving a mode (or the second sketch stage) untouched."""
 
+    kind: ClassVar[str] = "identity"
     n: int
 
     @property

@@ -26,6 +26,7 @@ __all__ = [
     "norm_experiment",
     "ls_experiment",
     "write_records_csv",
+    "write_replay_csv",
     "summarize",
 ]
 
@@ -48,14 +49,22 @@ class ExperimentRecord:
     wall_ms: float
 
 
-def _check_ratios(cs_values: Sequence[float]) -> list[float]:
+def _grid(shape: Sequence[int], cs_values: Sequence[float], trials: int,
+          seed: int) -> list[tuple[float, int, int, tuple[int, ...]]]:
+    """The validated sweep as ``(c_s, trial, trial seed, targets)`` points.
+
+    The trial seed is derived from ``(seed, c_s index, trial)``.
+    """
     ratios = [float(c) for c in cs_values]
     if not ratios:
         raise ValueError("need at least one compression ratio")
     for c in ratios:
         if not 0.0 < c <= 1.0:
             raise ValueError(f"compression ratio must lie in (0, 1], got {c}")
-    return ratios
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    return [(cs, t, derive_seed(seed, _TRIAL_STREAM, ci, t), targets_from_ratio(shape, cs))
+            for ci, cs in enumerate(ratios) for t in range(trials)]
 
 
 def norm_experiment(
@@ -71,24 +80,19 @@ def norm_experiment(
     Every trial draws a fresh plan from a seed derived from ``(seed,
     c_s index, trial)``.
     """
-    ratios = _check_ratios(cs_values)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    grid = _grid(X.shape, cs_values, trials, seed)
     norm_x = norm(X)
     records = []
-    for ci, cs in enumerate(ratios):
-        targets = targets_from_ratio(X.shape, cs)
-        for t in range(trials):
-            trial_seed = derive_seed(seed, _TRIAL_STREAM, ci, t)
-            t0 = time.perf_counter()
-            plan = make_plan(X.shape, targets, variant, second_stage, trial_seed)
-            if plan.second_stage is not None:
-                value = float(np.linalg.norm(sketch_full(plan, X))) / norm_x
-            else:
-                value = norm(sketch_modewise(plan, X)) / norm_x
-            wall = (time.perf_counter() - t0) * 1e3
-            records.append(ExperimentRecord("norm/c_n_X", cs, t, trial_seed,
-                                            "c_n_X", value, wall))
+    for cs, t, trial_seed, targets in grid:
+        t0 = time.perf_counter()
+        plan = make_plan(X.shape, targets, variant, second_stage, trial_seed)
+        if plan.second_stage is not None:
+            value = float(np.linalg.norm(sketch_full(plan, X))) / norm_x
+        else:
+            value = norm(sketch_modewise(plan, X)) / norm_x
+        wall = (time.perf_counter() - t0) * 1e3
+        records.append(ExperimentRecord("norm/c_n_X", cs, t, trial_seed,
+                                        "c_n_X", value, wall))
     return records
 
 
@@ -106,27 +110,22 @@ def ls_experiment(
     solution over the given basis; each trial reports the coefficient-norm
     ratio ``c_n_alpha`` and the relative coefficient error.
     """
-    ratios = _check_ratios(cs_values)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    grid = _grid(X.shape, cs_values, trials, seed)
     reference = ls_coefficients(X, factors).coefficients
     ref_norm = float(np.linalg.norm(reference))
     if ref_norm == 0.0:
         raise ValueError("exact least-squares solution is zero; ratios undefined")
     records = []
-    for ci, cs in enumerate(ratios):
-        targets = targets_from_ratio(X.shape, cs)
-        for t in range(trials):
-            trial_seed = derive_seed(seed, _TRIAL_STREAM, ci, t)
-            t0 = time.perf_counter()
-            plan = make_plan(X.shape, targets, variant, seed=trial_seed)
-            solution = compressed_ls_coefficients(X, factors, plan, reference=reference)
-            wall = (time.perf_counter() - t0) * 1e3
-            err = float(np.linalg.norm(solution.coefficients - reference)) / ref_norm
-            records.append(ExperimentRecord("ls/c_n_alpha", cs, t, trial_seed,
-                                            "c_n_alpha", solution.c_n_alpha, wall))
-            records.append(ExperimentRecord("ls/alpha_rel_err", cs, t, trial_seed,
-                                            "alpha_rel_err", err, wall))
+    for cs, t, trial_seed, targets in grid:
+        t0 = time.perf_counter()
+        plan = make_plan(X.shape, targets, variant, seed=trial_seed)
+        solution = compressed_ls_coefficients(X, factors, plan, reference=reference)
+        wall = (time.perf_counter() - t0) * 1e3
+        err = float(np.linalg.norm(solution.coefficients - reference)) / ref_norm
+        records.append(ExperimentRecord("ls/c_n_alpha", cs, t, trial_seed,
+                                        "c_n_alpha", solution.c_n_alpha, wall))
+        records.append(ExperimentRecord("ls/alpha_rel_err", cs, t, trial_seed,
+                                        "alpha_rel_err", err, wall))
     return records
 
 
@@ -136,16 +135,23 @@ def write_records_csv(
     records: Sequence[ExperimentRecord],
     timing: bool = False,
 ) -> None:
-    """Write records with a header row and a replay comment line.
+    """Write records with a header row and a replay comment line."""
+    rows = [(r.experiment, repr(r.c_s), str(r.trial), str(r.seed), r.metric,
+             repr(float(r.value)), r.wall_ms) for r in records]
+    write_replay_csv(path, invocation, CSV_HEADER, rows, timing)
 
-    Wall times are included only when ``timing`` is set; otherwise the
+
+def write_replay_csv(path: Union[str, Path], invocation: str, header: str,
+                     rows: Sequence[tuple], timing: bool) -> None:
+    """Write ``# invocation``, the header and one line per row.
+
+    Each row holds preformatted text cells followed by a wall time.  Wall
+    times are written only when ``timing`` is set; otherwise the last
     column is left empty so identical flags produce identical bytes.
     """
-    lines = [f"# {invocation}", CSV_HEADER]
-    for r in records:
-        wall = repr(float(r.wall_ms)) if timing else ""
-        lines.append(f"{r.experiment},{r.c_s!r},{r.trial},{r.seed},"
-                     f"{r.metric},{float(r.value)!r},{wall}")
+    lines = [f"# {invocation}", header]
+    for *cells, wall in rows:
+        lines.append(",".join([*cells, repr(float(wall)) if timing else ""]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

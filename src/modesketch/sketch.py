@@ -17,7 +17,6 @@ import numpy as np
 
 from .embeddings import (
     Embedding,
-    FJLTEmbedding,
     IdentityEmbedding,
     derive_seed,
     fjlt_embedding,
@@ -35,7 +34,6 @@ __all__ = [
     "sketch_rank1",
     "vector_subspace_sketch",
     "plan_from_descriptor",
-    "materialized_sketch_matrix",
 ]
 
 VARIANTS = ("gaussian", "fjlt", "identity")
@@ -94,16 +92,10 @@ class SketchPlan:
     def descriptor(self) -> str:
         """Deterministic one-line text form from which the plan can be rebuilt."""
         targets = ",".join(
-            "id" if isinstance(e, IdentityEmbedding) else str(e.m) for e in self.mode_embeddings
+            "id" if e.kind == "identity" else str(e.m) for e in self.mode_embeddings
         )
-        if self.second_stage is None:
-            second = "none"
-        elif isinstance(self.second_stage, IdentityEmbedding):
-            second = f"{self.second_stage.m}:identity"
-        elif isinstance(self.second_stage, FJLTEmbedding):
-            second = f"{self.second_stage.m}:fjlt"
-        else:
-            second = f"{self.second_stage.m}:gaussian"
+        stage = self.second_stage
+        second = "none" if stage is None else f"{stage.m}:{stage.kind}"
         shape = ",".join(str(n) for n in self.shape)
         return (f"sketchplan v1 shape={shape} targets={targets} "
                 f"variant={self.variant} second={second} seed={self.seed}")
@@ -198,8 +190,6 @@ def sketch_modewise(plan: SketchPlan, X: DenseTensor) -> DenseTensor:
     _check_plan_shape(plan, X)
     out = X
     for mode, e in enumerate(plan.mode_embeddings):
-        if isinstance(e, IdentityEmbedding):
-            continue
         out = e.apply_to_mode(out, mode)
     return out
 
@@ -280,17 +270,3 @@ def vector_subspace_sketch(
     plan = make_plan(cube.shape, resolved, variant, second_stage, seed)
     return sketch_full(plan, cube)
 
-
-def materialized_sketch_matrix(plan: SketchPlan) -> np.ndarray:
-    """Dense matrix of the full sketch operator acting on vectorized input.
-
-    Intended for small shapes: the modewise stage is the Kronecker product
-    of the per-mode matrices (last mode leftmost), optionally composed with
-    the dense second stage.
-    """
-    kron = np.array([[1.0 + 0.0j]])
-    for e in plan.mode_embeddings:
-        kron = np.kron(e.as_matrix(), kron)
-    if plan.second_stage is not None:
-        return plan.second_stage.as_matrix() @ kron
-    return kron

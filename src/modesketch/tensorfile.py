@@ -10,6 +10,7 @@ writing what was read back reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Union
@@ -50,7 +51,7 @@ def read_tensor(path: Union[str, Path]) -> DenseTensor:
     if len(raw) < header_end:
         raise ValueError(f"{path}: truncated DTEN header")
     shape = struct.unpack(f"<{d}Q", raw[7:header_end])
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     width = 8 if kind == KIND_REAL else 16
     if len(raw) != header_end + count * width:
         raise ValueError(f"{path}: payload size does not match shape {shape}")

@@ -1,5 +1,7 @@
 """DTEN file format and the command-line harness."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,11 @@ class TestTensorFile:
         wrong_version.write_bytes(b"DTEN\x07\x00\x01" + bytes(16))
         with pytest.raises(ValueError):
             read_tensor(wrong_version)
+        # 2^40 x 2^40 entries overflow a 64-bit count to 0
+        huge = tmp_path / "huge.dten"
+        huge.write_bytes(b"DTEN\x01\x00\x02" + struct.pack("<2Q", 2**40, 2**40))
+        with pytest.raises(ValueError, match="payload size does not match shape"):
+            read_tensor(huge)
 
 
 class TestGen:
@@ -263,6 +270,11 @@ class TestCpalsCommand:
         assert main(["cpals", "--input", str(src), "--rank", "1", "--iters", "0",
                      "--out-prefix", str(tmp_path / "f")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_cs_takes_one_ratio(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["cpals", "--input", str(tmp_path / "d.dten"), "--rank", "2",
+                  "--cs", "0.5,0.9", "--out-prefix", str(tmp_path / "f")])
 
     def test_sketched_fit_runs(self, tmp_path):
         src = tmp_path / "d.dten"

@@ -26,6 +26,7 @@ from modesketch import (
     unfold,
     vectorize,
 )
+from modesketch.cpfit import GRAM_COND_LIMIT
 from modesketch.tensor import khatri_rao_design
 
 from helpers import rel_err
@@ -117,6 +118,21 @@ class TestLsCoefficients:
         model, X = synthesize(SynthSpec((4, 4), 2, "gaussian", seed=1))
         with pytest.raises(ValueError):
             ls_coefficients(X, (model.factors[0][:3], model.factors[1]))
+
+    def test_ill_conditioned_basis_falls_back_to_lstsq(self):
+        # nearly parallel basis tensors push the Gram condition number past
+        # the limit, so the full-rank design is solved by lstsq instead
+        rng = np.random.default_rng(12)
+        factors = []
+        for n in (6, 5, 4):
+            v, w = rng.standard_normal(n), rng.standard_normal(n)
+            factors.append(np.column_stack([v, v + 1e-5 * w]))
+        X = DenseTensor(rng.standard_normal((6, 5, 4)))
+        sol = ls_coefficients(X, factors)
+        assert sol.gram_cond > GRAM_COND_LIMIT
+        design = khatri_rao_design([f.astype(np.complex128) for f in factors])
+        expected = np.linalg.lstsq(design, vectorize(X), rcond=None)[0]
+        np.testing.assert_allclose(sol.coefficients, expected, rtol=1e-10, atol=0)
 
 
 class TestCompressedLs:

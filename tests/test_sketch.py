@@ -261,13 +261,20 @@ class TestVectorSubspaceSketch:
 
 
 class TestDescriptor:
-    def test_roundtrip_reproduces_plan(self):
-        plan = make_plan((6, 7, 8), (3, None, 4), "fjlt",
-                         second_stage=(5, "gaussian"), seed=77)
+    @pytest.mark.parametrize("second", [None, (5, "gaussian"), (5, "fjlt"),
+                                        (None, "identity")],
+                             ids=["none", "gaussian", "fjlt", "identity"])
+    @pytest.mark.parametrize("variant", ["gaussian", "fjlt", "identity"])
+    def test_roundtrip_reproduces_plan(self, variant, second):
+        targets = None if variant == "identity" else (3, None, 4)
+        plan = make_plan((6, 7, 8), targets, variant, second_stage=second, seed=77)
         clone = plan_from_descriptor(plan.descriptor())
         X = random_tensor(RNG, (6, 7, 8))
-        np.testing.assert_array_equal(
-            sketch_full(clone, X), sketch_full(plan, X))
+
+        def run(p):
+            return vectorize(sketch_modewise(p, X)) if second is None else sketch_full(p, X)
+
+        np.testing.assert_array_equal(run(clone), run(plan))
         assert clone.descriptor() == plan.descriptor()
 
     def test_bad_descriptor_rejected(self):
