@@ -25,7 +25,7 @@ from .cpfit import SynthSpec, cp_als, synthesize
 from .diagnostics import coherence
 from .harness import (ls_experiment, norm_experiment, summarize, write_records_csv,
                       write_replay_csv)
-from .sketch import make_plan, sketch_modewise, targets_from_ratio
+from .sketch import make_plan, sketch_modewise
 from .tensor import DenseTensor, norm
 
 __all__ = ["main", "entry_point"]
@@ -79,7 +79,7 @@ def _load_sidecar(path):
         return meta, None
     spec = SynthSpec(tuple(meta["shape"]), meta["rank"], meta["kind"],
                      meta["sigma"], meta["seed"])
-    return meta, synthesize(spec)[0]
+    return meta, spec.model()
 
 
 def _load_data(args):
@@ -126,10 +126,7 @@ def _cmd_info(args, invocation: str) -> int:
 
 def _cmd_sketch(args, invocation: str) -> int:
     X = tensorfile.read_tensor(args.input)
-    targets = args.targets
-    if targets is None and args.cs is not None:
-        targets = targets_from_ratio(X.shape, args.cs)
-    plan = make_plan(X.shape, targets, args.variant, seed=args.seed)
+    plan = make_plan(X.shape, args.targets, args.variant, seed=args.seed)
     Y = sketch_modewise(plan, X)
     tensorfile.write_tensor(args.out, Y)
     print(f"wrote {args.out} shape={'x'.join(map(str, Y.shape))} "
@@ -156,6 +153,9 @@ def _cmd_ls_exp(args, invocation: str) -> int:
                              "sidecar (a CP basis must be fitted first)")
         model, _ = cp_als(X, args.rank, max_iters=args.iters, tol=args.tol,
                           seed=args.seed)
+    elif args.rank not in (None, model.rank):
+        raise ValueError(f"--rank {args.rank} does not match the rank {model.rank} "
+                         "of the input's synthesis sidecar")
     records = ls_experiment(X, model.factors, args.cs, args.trials,
                             args.variant, args.seed)
     write_records_csv(args.out, invocation, records, timing=args.timing)
@@ -202,8 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sketch", help="write a modewise-sketched tensor")
     p.add_argument("--input", required=True)
-    p.add_argument("--cs", type=float, default=None)
-    p.add_argument("--targets", type=_ints_csv, default=None)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--cs", dest="targets", type=float, metavar="CS",
+                      help="compress every mode to this ratio")
+    size.add_argument("--targets", dest="targets", type=_ints_csv,
+                      help="per-mode target dims, e.g. 5,4,3")
     p.add_argument("--variant", choices=("gaussian", "fjlt", "identity"),
                    default="fjlt")
     p.add_argument("--seed", type=_nonneg_int, default=0)

@@ -1,6 +1,10 @@
 """Least squares machinery: synthetic low-rank data, exact and compressed
 coefficient estimation, decoupled per-slice solves, and a CP-ALS fitter.
 
+The exact problems are the sketched ones run through the all-identity plan
+``make_plan(shape)``: each solver has one code path, and the identity maps
+hand their inputs back unchanged.
+
 The primary solver uses the normal equations of the (possibly sketched)
 design matrix; when the Gram matrix is badly conditioned it falls back to
 an SVD-based least-squares solve, and a genuinely rank-deficient basis
@@ -18,7 +22,7 @@ import numpy as np
 
 from .diagnostics import CpModel, draw_unit_factors
 from .embeddings import derive_seed, make_rng
-from .sketch import SketchPlan, make_plan, sketch_modewise, targets_from_ratio
+from .sketch import SketchPlan, make_plan, sketch_modewise
 from .tensor import DenseTensor, khatri_rao_design, norm, unfold, vectorize
 
 __all__ = [
@@ -76,12 +80,16 @@ class SynthSpec:
             if self.sigma is None or self.sigma <= 0:
                 raise ValueError("coherent data needs sigma > 0")
 
+    def model(self) -> CpModel:
+        """Draw the random exact-rank model without expanding it."""
+        sigma = self.sigma if self.kind == "coherent" else None
+        factors = draw_unit_factors(self.shape, self.rank, make_rng(self.seed), sigma)
+        return CpModel(np.ones(self.rank), factors)
+
 
 def synthesize(spec: SynthSpec) -> tuple[CpModel, DenseTensor]:
     """Draw a random exact-rank model and its dense expansion."""
-    sigma = spec.sigma if spec.kind == "coherent" else None
-    factors = draw_unit_factors(spec.shape, spec.rank, make_rng(spec.seed), sigma)
-    model = CpModel(np.ones(spec.rank), factors)
+    model = spec.model()
     return model, model.to_tensor()
 
 
@@ -128,25 +136,30 @@ def _solve_ls(gram: np.ndarray, projected: np.ndarray, design: np.ndarray,
     return coeffs, cond
 
 
-def _coefficient_solution(design: np.ndarray, x: np.ndarray,
-                          reference: Optional[np.ndarray]) -> LsSolution:
-    coeffs, cond = _solve_ls(design.conj().T @ design, design.conj().T @ x, design, x)
-    residual = float(np.linalg.norm(x - design @ coeffs))
-    ratio = None
-    if reference is not None:
-        ratio = relative_coefficient_norm(coeffs, reference)
+def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan,
+                 reference: Optional[np.ndarray]) -> LsSolution:
+    """Sketch the tensor once and each rank-one basis tensor factor by
+    factor with ``plan``, then solve."""
+    factors = [np.asarray(f, dtype=np.complex128) for f in factors]
+    shape = tuple(f.shape[0] for f in factors)
+    if X.shape != shape:
+        raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
+    x_p = vectorize(sketch_modewise(plan, X))
+    design = khatri_rao_design([e.apply(f) for e, f in zip(plan.mode_embeddings, factors)])
+    if plan.second_stage is not None:
+        x_p = plan.second_stage.apply(x_p)
+        design = plan.second_stage.apply(design)
+    coeffs, cond = _solve_ls(design.conj().T @ design, design.conj().T @ x_p, design, x_p)
+    residual = float(np.linalg.norm(x_p - design @ coeffs))
+    ratio = None if reference is None else relative_coefficient_norm(coeffs, reference)
     return LsSolution(coeffs, residual, cond, ratio)
 
 
 def ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
                     reference: Optional[np.ndarray] = None) -> LsSolution:
     """Best coefficients expressing ``X`` over the rank-one basis given by
-    the factor columns."""
-    factors = [np.asarray(f, dtype=np.complex128) for f in factors]
-    shape = tuple(f.shape[0] for f in factors)
-    if X.shape != shape:
-        raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
-    return _coefficient_solution(khatri_rao_design(factors), vectorize(X), reference)
+    the factor columns: the compressed problem under the identity plan."""
+    return _sketched_ls(X, factors, make_plan(X.shape), reference)
 
 
 def compressed_ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
@@ -154,19 +167,7 @@ def compressed_ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
                                reference: Optional[np.ndarray] = None) -> LsSolution:
     """Coefficients from the sketched problem: the tensor is sketched once
     and each rank-one basis tensor is sketched factor by factor."""
-    factors = [np.asarray(f, dtype=np.complex128) for f in factors]
-    shape = tuple(f.shape[0] for f in factors)
-    if X.shape != shape:
-        raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
-    if plan.shape != shape:
-        raise ValueError(f"plan shape {plan.shape} does not match tensor shape {shape}")
-    x_p = vectorize(sketch_modewise(plan, X))
-    sketched = [e.apply(f) for e, f in zip(plan.mode_embeddings, factors)]
-    design = khatri_rao_design(sketched)
-    if plan.second_stage is not None:
-        x_p = plan.second_stage.apply(x_p)
-        design = plan.second_stage.apply(design)
-    return _coefficient_solution(design, x_p, reference)
+    return _sketched_ls(X, factors, plan, reference)
 
 
 def _slice_tensor(X: DenseTensor, mode: int, index: int) -> DenseTensor:
@@ -183,21 +184,19 @@ def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
 
     Fixes the factors of every mode except ``mode``, extracts slice
     ``index`` along it (one row of the unfolding, re-tensorized), and
-    returns the best coefficients over the reduced rank-one basis.  With a
-    plan for the reduced shape, the slice problem is sketched modewise
-    first.
+    returns the best coefficients over the reduced rank-one basis.  The
+    slice problem is sketched modewise with ``plan``, a plan for the
+    reduced shape; without one it is solved exactly (the identity plan).
     """
     if not 0 <= mode < X.ndim:
         raise IndexError(f"mode {mode} out of range for a {X.ndim}-mode tensor")
     if not 0 <= index < X.shape[mode]:
         raise IndexError(f"slice {index} out of range for mode {mode} "
                          f"of extent {X.shape[mode]}")
-    reduced_factors = [np.asarray(f, dtype=np.complex128)
-                       for ell, f in enumerate(factors) if ell != mode]
     slice_t = _slice_tensor(X, mode, index)
-    if plan is None:
-        return ls_coefficients(slice_t, reduced_factors).coefficients
-    return compressed_ls_coefficients(slice_t, reduced_factors, plan).coefficients
+    reduced_factors = [f for ell, f in enumerate(factors) if ell != mode]
+    return _sketched_ls(slice_t, reduced_factors, plan or make_plan(slice_t.shape),
+                        None).coefficients
 
 
 def decoupled_factor_update(slice_coefficients: np.ndarray,
@@ -247,10 +246,11 @@ def cp_als(
     reconstruction error is recorded after every sweep and the iteration
     stops once its relative improvement falls below ``tol``.
 
-    With ``compression`` set (a ratio or per-mode target dims), each
-    subproblem is sketched modewise over the fixed modes; one fresh plan is
-    drawn per sweep from a seed derived from ``seed``.  Sketched sweeps
-    trade monotonicity of the objective for speed.
+    Every sweep draws ``make_plan(X.shape, compression, variant)`` from a
+    seed derived from ``seed`` and sketches each subproblem modewise over
+    the fixed modes.  ``compression`` is a ratio or per-mode target dims;
+    ``None`` gives the identity plan, which is the exact problem.  Sketched
+    sweeps trade monotonicity of the objective for speed.
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
@@ -270,31 +270,17 @@ def cp_als(
         factors.append(f / np.linalg.norm(f, axis=0))
     weights = np.ones(rank, dtype=np.complex128)
 
-    sketch_targets: Optional[tuple[int, ...]] = None
-    if compression is not None:
-        if isinstance(compression, float):
-            sketch_targets = targets_from_ratio(X.shape, compression)
-        else:
-            sketch_targets = tuple(int(t) for t in compression)
-
     history: list[FitRecord] = []
     start = time.perf_counter()
     prev_err: Optional[float] = None
     for sweep in range(max_iters):
-        plan = None
-        if sketch_targets is not None:
-            plan = make_plan(X.shape, sketch_targets, variant,
-                             seed=derive_seed(seed, _SWEEP_STREAM, sweep + 1))
+        plan = make_plan(X.shape, compression, variant,
+                         seed=derive_seed(seed, _SWEEP_STREAM, sweep + 1))
         for j in range(d):
             target = X
-            if plan is None:
-                others = [factors[ell] for ell in range(d) if ell != j]
-            else:
-                others = []
-                for ell in range(d):
-                    if ell == j:
-                        continue
-                    e = plan.mode_embeddings[ell]
+            others = []
+            for ell, e in enumerate(plan.mode_embeddings):
+                if ell != j:
                     target = e.apply_to_mode(target, ell)
                     others.append(e.apply(factors[ell]))
             W = _als_mode_update(unfold(target, j), others)

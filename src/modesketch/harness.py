@@ -18,7 +18,7 @@ import numpy as np
 
 from .cpfit import compressed_ls_coefficients, ls_coefficients
 from .embeddings import derive_seed
-from .sketch import make_plan, sketch_full, sketch_modewise, targets_from_ratio
+from .sketch import make_plan, sketch_full, sketch_modewise
 from .tensor import DenseTensor, norm
 
 __all__ = [
@@ -49,11 +49,12 @@ class ExperimentRecord:
     wall_ms: float
 
 
-def _grid(shape: Sequence[int], cs_values: Sequence[float], trials: int,
-          seed: int) -> list[tuple[float, int, int, tuple[int, ...]]]:
-    """The validated sweep as ``(c_s, trial, trial seed, targets)`` points.
+def _grid(cs_values: Sequence[float], trials: int,
+          seed: int) -> list[tuple[float, int, int]]:
+    """The validated sweep as ``(c_s, trial, trial seed)`` points.
 
-    The trial seed is derived from ``(seed, c_s index, trial)``.
+    The trial seed is derived from ``(seed, c_s index, trial)``.  Ratios are
+    checked up front so a bad one fails before any trial runs.
     """
     ratios = [float(c) for c in cs_values]
     if not ratios:
@@ -63,7 +64,7 @@ def _grid(shape: Sequence[int], cs_values: Sequence[float], trials: int,
             raise ValueError(f"compression ratio must lie in (0, 1], got {c}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    return [(cs, t, derive_seed(seed, _TRIAL_STREAM, ci, t), targets_from_ratio(shape, cs))
+    return [(cs, t, derive_seed(seed, _TRIAL_STREAM, ci, t))
             for ci, cs in enumerate(ratios) for t in range(trials)]
 
 
@@ -80,12 +81,12 @@ def norm_experiment(
     Every trial draws a fresh plan from a seed derived from ``(seed,
     c_s index, trial)``.
     """
-    grid = _grid(X.shape, cs_values, trials, seed)
+    grid = _grid(cs_values, trials, seed)
     norm_x = norm(X)
     records = []
-    for cs, t, trial_seed, targets in grid:
+    for cs, t, trial_seed in grid:
         t0 = time.perf_counter()
-        plan = make_plan(X.shape, targets, variant, second_stage, trial_seed)
+        plan = make_plan(X.shape, cs, variant, second_stage, trial_seed)
         if plan.second_stage is not None:
             value = float(np.linalg.norm(sketch_full(plan, X))) / norm_x
         else:
@@ -110,15 +111,15 @@ def ls_experiment(
     solution over the given basis; each trial reports the coefficient-norm
     ratio ``c_n_alpha`` and the relative coefficient error.
     """
-    grid = _grid(X.shape, cs_values, trials, seed)
+    grid = _grid(cs_values, trials, seed)
     reference = ls_coefficients(X, factors).coefficients
     ref_norm = float(np.linalg.norm(reference))
     if ref_norm == 0.0:
         raise ValueError("exact least-squares solution is zero; ratios undefined")
     records = []
-    for cs, t, trial_seed, targets in grid:
+    for cs, t, trial_seed in grid:
         t0 = time.perf_counter()
-        plan = make_plan(X.shape, targets, variant, seed=trial_seed)
+        plan = make_plan(X.shape, cs, variant, seed=trial_seed)
         solution = compressed_ls_coefficients(X, factors, plan, reference=reference)
         wall = (time.perf_counter() - t0) * 1e3
         err = float(np.linalg.norm(solution.coefficients - reference)) / ref_norm

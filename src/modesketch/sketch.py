@@ -103,20 +103,25 @@ class SketchPlan:
 
 def make_plan(
     shape: Sequence[int],
-    targets: Optional[Sequence[Optional[int]]] = None,
+    targets: Union[float, Sequence[Optional[int]], None] = None,
     variant: str = "gaussian",
     second_stage: Optional[tuple[Optional[int], str]] = None,
     seed: int = 0,
 ) -> SketchPlan:
     """Build a reproducible sketch plan.
 
+    ``make_plan(shape)`` is the all-identity plan: sketching with it leaves
+    the tensor and the factors as they are, so the exact least-squares and
+    CP-ALS problems are the sketched ones run through this plan.
+
     Parameters
     ----------
     shape:
         Source extents ``n_1 .. n_d``.
     targets:
-        Per-mode target dims.  ``None`` produces an all-identity plan; a
-        ``None`` entry marks that single mode as identity.
+        Per-mode target dims, or a float compression ratio resolved by
+        :func:`targets_from_ratio`.  ``None`` produces the all-identity
+        plan; a ``None`` entry marks that single mode as identity.
     variant:
         ``"gaussian"``, ``"fjlt"`` or ``"identity"`` for the non-identity
         modes.
@@ -136,6 +141,8 @@ def make_plan(
 
     if targets is None:
         targets = [None] * len(shape)
+    elif isinstance(targets, float):
+        targets = targets_from_ratio(shape, targets)
     targets = list(targets)
     if len(targets) != len(shape):
         raise ValueError(f"{len(targets)} targets for a {len(shape)}-mode tensor")
@@ -246,8 +253,9 @@ def vector_subspace_sketch(
     The vector is zero-padded up to the smallest d-th power, reshaped
     colexicographically, and pushed through a two-stage sketch.  ``targets``
     may be a per-mode sequence, a single int used for every mode, or a
-    float compression ratio.  When no second stage is requested an identity
-    stage is used, so the result is the vectorized modewise sketch.
+    float compression ratio (see :func:`make_plan`).  When no second stage
+    is requested an identity stage is used, so the result is the vectorized
+    modewise sketch.
     """
     if d < 2:
         raise ValueError(f"need at least two modes, got d={d}")
@@ -259,14 +267,10 @@ def vector_subspace_sketch(
     padded[: x.size] = x
     cube = DenseTensor(padded.reshape((side,) * d, order="F"), copy=False)
 
-    if isinstance(targets, float):
-        resolved: Sequence[Optional[int]] = targets_from_ratio(cube.shape, targets)
-    elif isinstance(targets, int):
-        resolved = (targets,) * d
-    else:
-        resolved = targets
+    if isinstance(targets, int):
+        targets = (targets,) * d
     if second_stage is None:
         second_stage = (None, "identity")
-    plan = make_plan(cube.shape, resolved, variant, second_stage, seed)
+    plan = make_plan(cube.shape, targets, variant, second_stage, seed)
     return sketch_full(plan, cube)
 

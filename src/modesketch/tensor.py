@@ -78,9 +78,6 @@ class DenseTensor:
     def size(self) -> int:
         return self.data.size
 
-    def copy(self) -> "DenseTensor":
-        return DenseTensor(self.data)
-
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
         return DenseTensor(self.data + other.data, copy=False)
 

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from modesketch import DenseTensor
+from modesketch import CpModel, DenseTensor
 from modesketch.cli import main
 from modesketch.tensorfile import read_sidecar, read_tensor, sidecar_path, write_tensor
 
@@ -101,6 +101,19 @@ class TestInfo:
         assert "tensor_shape=6,7,8" in text
         assert "synth_rank=2" in text
         assert "max_modewise_coherence=" in text
+
+    def test_sidecar_model_is_not_expanded(self, tmp_path, monkeypatch):
+        src = tmp_path / "d.dten"
+        assert main(["gen", "--shape", "6,7,8", "--rank", "2", "--seed", "1",
+                     "--out", str(src)]) == 0
+
+        def refuse(self):
+            raise AssertionError("dense expansion of the sidecar model")
+
+        monkeypatch.setattr(CpModel, "to_tensor", refuse)
+        assert main(["info", "--input", str(src)]) == 0
+        assert main(["ls-exp", "--input", str(src), "--cs", "0.5", "--trials", "2",
+                     "--out", str(tmp_path / "l.csv")]) == 0
 
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["info", "--input", str(tmp_path / "nope.dten")]) == 1
@@ -247,6 +260,20 @@ class TestLsExp:
                      "--out", str(tmp_path / "x.csv")]) == 1  # no --rank
 
 
+    def test_rank_must_match_sidecar(self, tmp_path, capsys):
+        src = tmp_path / "d.dten"
+        main(["gen", "--shape", "8,8,8", "--rank", "3", "--seed", "2",
+              "--out", str(src)])
+        capsys.readouterr()
+        flags = ["ls-exp", "--input", str(src), "--cs", "0.5", "--trials", "2",
+                 "--out", str(tmp_path / "l.csv")]
+        assert main(flags + ["--rank", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--rank 1" in err and "rank 3" in err
+        assert len(err.splitlines()) == 1
+        assert main(flags + ["--rank", "3"]) == 0
+
+
 class TestCpalsCommand:
     def test_writes_model_and_history(self, tmp_path):
         src = tmp_path / "d.dten"
@@ -303,6 +330,12 @@ class TestArgumentHandling:
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code != 0
+
+    def test_sketch_rejects_cs_with_targets(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sketch", "--input", str(tmp_path / "d.dten"), "--cs", "0.5",
+                  "--targets", "5,4,3", "--out", str(tmp_path / "s.dten")])
         assert exc.value.code != 0
 
     def test_negative_seed_rejected(self, tmp_path):

@@ -62,6 +62,12 @@ class TestSynthesize:
         assert norm(model.to_tensor()) == pytest.approx(
             np.linalg.norm(model.weights), rel=1e-10)
 
+    def test_model_is_the_synthesized_model(self):
+        spec = SynthSpec((5, 6, 7), 3, "coherent", sigma=0.4, seed=8)
+        model, _ = synthesize(spec)
+        for a, b in zip(spec.model().factors, model.factors):
+            assert np.array_equal(a, b)
+
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             SynthSpec((4, 4), 0, "gaussian")
@@ -141,6 +147,16 @@ class TestCompressedLs:
         exact = ls_coefficients(X, model.factors)
         viaplan = compressed_ls_coefficients(X, model.factors, make_plan(X.shape))
         assert np.max(np.abs(viaplan.coefficients - exact.coefficients)) < 1e-12
+
+    def test_exact_solve_is_the_identity_plan_bit_for_bit(self):
+        _, T = synthesize(SynthSpec((8, 9, 10), 3, "gaussian", seed=13))
+        X = T + 0.1 * DenseTensor(RNG.standard_normal(T.shape))
+        factors = SynthSpec((8, 9, 10), 3, "gaussian", seed=14).model().factors
+        exact = ls_coefficients(X, factors)
+        viaplan = compressed_ls_coefficients(X, factors, make_plan(X.shape))
+        assert np.array_equal(exact.coefficients, viaplan.coefficients)
+        assert exact.residual == viaplan.residual
+        assert exact.gram_cond == viaplan.gram_cond
 
     @pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
     def test_exact_data_recovered_through_sketch(self, variant):
@@ -302,6 +318,23 @@ class TestCpAls:
         _, history = cp_als(X, 2, max_iters=25, tol=0.0, seed=35,
                             compression=0.6, variant="fjlt")
         assert history[-1].e_cpd < 0.5 * history[0].e_cpd
+
+    @pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
+    def test_ratio_equals_its_targets_bit_for_bit(self, variant):
+        _, X = synthesize(SynthSpec((10, 9, 8), 2, "gaussian", seed=37))
+        a, ha = cp_als(X, 2, max_iters=6, tol=0.0, seed=38, compression=0.5,
+                       variant=variant)
+        b, hb = cp_als(X, 2, max_iters=6, tol=0.0, seed=38,
+                       compression=targets_from_ratio(X.shape, 0.5), variant=variant)
+        assert np.array_equal(a.weights, b.weights)
+        for fa, fb in zip(a.factors, b.factors):
+            assert np.array_equal(fa, fb)
+        assert [h.e_cpd for h in ha] == [h.e_cpd for h in hb]
+
+    def test_unknown_variant_rejected_without_compression(self):
+        _, X = synthesize(SynthSpec((4, 4), 1, "gaussian", seed=36))
+        with pytest.raises(ValueError):
+            cp_als(X, 1, variant="hadamard")
 
     def test_argument_validation(self):
         _, X = synthesize(SynthSpec((4, 4), 1, "gaussian", seed=36))

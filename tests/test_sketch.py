@@ -60,6 +60,18 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             targets_from_ratio((10,), 1.2)
 
+    @pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
+    def test_float_targets_are_a_ratio(self, variant):
+        shape = (10, 7, 13)
+        by_ratio = make_plan(shape, 0.3, variant, second_stage=(20, "fjlt"), seed=6)
+        by_dims = make_plan(shape, targets_from_ratio(shape, 0.3), variant,
+                            second_stage=(20, "fjlt"), seed=6)
+        assert by_ratio.descriptor() == by_dims.descriptor()
+
+    def test_ratio_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            make_plan((4, 4), 1.5)
+
     def test_determinism(self):
         p1 = make_plan((6, 7), (3, 4), "fjlt", second_stage=(5, "gaussian"), seed=4)
         p2 = make_plan((6, 7), (3, 4), "fjlt", second_stage=(5, "gaussian"), seed=4)
