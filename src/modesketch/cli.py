@@ -82,12 +82,21 @@ def _load_sidecar(path):
     return meta, spec.model()
 
 
-def _load_data(args):
+# Flags that only describe synthetic data; --input rejects them.
+_SYNTH_FLAGS = ("shape", "kind", "sigma", "gen_seed")
+
+
+def _load_data(args, synth_flags=_SYNTH_FLAGS):
     """Return (tensor, model-or-None) from --input or the synthesis flags."""
     if args.input is not None:
+        for name in synth_flags:
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name.replace('_', '-')} describes synthetic data "
+                                 "and cannot be combined with --input")
         X = tensorfile.read_tensor(args.input)
         return X, _load_sidecar(args.input)[1]
-    spec = _synth_spec(args.shape, args.rank, args.kind, args.sigma, args.gen_seed)
+    spec = _synth_spec(args.shape, args.rank, args.kind or "gaussian", args.sigma,
+                       args.gen_seed or 0)
     model, X = synthesize(spec)
     return X, model
 
@@ -135,7 +144,7 @@ def _cmd_sketch(args, invocation: str) -> int:
 
 
 def _cmd_norm_exp(args, invocation: str) -> int:
-    X, _ = _load_data(args)
+    X, _ = _load_data(args, _SYNTH_FLAGS + ("rank",))
     records = norm_experiment(X, args.cs, args.trials, args.variant,
                               args.seed, args.second_stage)
     write_records_csv(args.out, invocation, records, timing=args.timing)
@@ -217,11 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--input", default=None)
     sweep.add_argument("--shape", type=_ints_csv, help="extents, e.g. 100,100,100")
     sweep.add_argument("--rank", type=int, help="number of rank-one terms")
-    sweep.add_argument("--kind", choices=("gaussian", "coherent"), default="gaussian")
+    sweep.add_argument("--kind", choices=("gaussian", "coherent"), default=None,
+                       help="synthetic factor kind (default gaussian)")
     sweep.add_argument("--sigma", type=float, default=None,
                        help="noise level for coherent factors")
-    sweep.add_argument("--gen-seed", type=_nonneg_int, default=0,
-                       help="seed for the synthetic data itself")
+    sweep.add_argument("--gen-seed", type=_nonneg_int, default=None,
+                       help="seed for the synthetic data itself (default 0)")
     sweep.add_argument("--cs", type=_floats_csv, required=True)
     sweep.add_argument("--trials", type=int, default=100)
     sweep.add_argument("--variant", choices=("gaussian", "fjlt"), default="gaussian")

@@ -44,6 +44,14 @@ __all__ = [
 # Above this Gram condition number the solver abandons the normal equations.
 GRAM_COND_LIMIT = 1e8
 
+# cp_als estimates each sweep's relative error e from the factor Grams.  The
+# estimate loses about 1e-15 absolutely in e^2, hence about 1e-15/(2e) in e,
+# which stays under GRAM_ERROR_SLACK only while e is above GRAM_ERROR_FLOOR.
+# A sweep under the floor, or one whose stopping test the slack could flip,
+# is re-evaluated against the dense model.
+GRAM_ERROR_FLOOR = 1e-5
+GRAM_ERROR_SLACK = 1e-10
+
 # Stream tag for per-sweep sketch plans inside cp_als.
 _SWEEP_STREAM = 2
 
@@ -218,14 +226,41 @@ class FitRecord:
     elapsed_s: float
 
 
+def _gram_hadamard(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Hadamard product of the factor Grams ``A^H A``: the Gram matrix of
+    their Khatri-Rao design."""
+    rank = factors[0].shape[1]
+    gram = np.ones((rank, rank), dtype=np.complex128)
+    for f in factors:
+        gram = gram * (f.conj().T @ f)
+    return gram
+
+
 def _als_mode_update(M: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray:
     """Solve ``min || M - W K^T ||_F`` for W, where K is the Khatri-Rao
     design of the fixed factors."""
     K = khatri_rao_design(others)
-    gram = np.ones((K.shape[1], K.shape[1]), dtype=np.complex128)
-    for f in others:
-        gram = gram * (f.conj().T @ f)
-    return _solve_ls(gram, (M @ K.conj()).T, K, M.T)[0].T
+    return _solve_ls(_gram_hadamard(others), (M @ K.conj()).T, K, M.T)[0].T
+
+
+def _gram_error(X: DenseTensor, norm_x: float, weights: np.ndarray,
+                factors: Sequence[np.ndarray]) -> float:
+    """Relative error of the CP model without expanding it:
+    ``||X - M||^2 = ||X||^2 - 2 Re<X, M> + w^H (*_j A_j^H A_j) w``.
+
+    ``<X, M>`` is one GEMM of X's contiguous mode against its factor,
+    then column-wise contractions over the remaining modes.
+    """
+    data = X.data
+    if data.flags.f_contiguous and not data.flags.c_contiguous:
+        data, factors = data.T, factors[::-1]
+    t = np.tensordot(data, factors[-1].conj(), axes=([data.ndim - 1], [0]))
+    for f in reversed(factors[:-1]):
+        t = np.einsum("...ir,ir->...r", t, f.conj())
+    cross = float(np.real(np.vdot(weights, t)))
+    model_sq = float(np.real(np.vdot(weights, _gram_hadamard(factors) @ weights)))
+    e2 = (norm_x * norm_x - 2.0 * cross + model_sq) / (norm_x * norm_x)
+    return math.sqrt(max(e2, 0.0))
 
 
 def cp_als(
@@ -244,7 +279,12 @@ def cp_als(
     normal equations; after each mode update the factor columns are
     normalized and their norms absorbed into the weights.  The relative
     reconstruction error is recorded after every sweep and the iteration
-    stops once its relative improvement falls below ``tol``.
+    stops once its relative improvement falls below ``tol``.  Each sweep's
+    error comes from the factor Grams and one contraction of ``X`` against
+    the factors; the sweep that ends the fit, any sweep whose estimate falls
+    below ``GRAM_ERROR_FLOOR``, and any sweep whose stopping test is within
+    ``GRAM_ERROR_SLACK`` of flipping are evaluated against the dense model,
+    so the stop and the last recorded error are those of the dense model.
 
     Every sweep draws ``make_plan(X.shape, compression, variant)`` from a
     seed derived from ``seed`` and sketches each subproblem modewise over
@@ -289,16 +329,23 @@ def cp_als(
             factors[j] = W / safe
             weights = norms.astype(np.complex128)
 
-        err = relative_reconstruction_error(X, CpModel(weights, tuple(factors)).to_tensor())
+        err = _gram_error(X, norm_x, weights, factors)
+        if (err < GRAM_ERROR_FLOOR or sweep == max_iters - 1
+                or _converged(prev_err, err + GRAM_ERROR_SLACK, tol)):
+            err = relative_reconstruction_error(X, CpModel(weights, tuple(factors)).to_tensor())
         if not math.isfinite(err):
             raise RuntimeError(f"CP-ALS objective became non-finite at sweep {sweep + 1} "
                                f"(e_cpd={err}); aborting")
         history.append(FitRecord(sweep + 1, err, time.perf_counter() - start))
-        if prev_err is not None and prev_err - err < tol * max(prev_err, 1e-300):
+        if _converged(prev_err, err, tol):
             break
         prev_err = err
 
     return CpModel(weights, tuple(factors)), history
+
+
+def _converged(prev_err: Optional[float], err: float, tol: float) -> bool:
+    return prev_err is not None and prev_err - err < tol * max(prev_err, 1e-300)
 
 
 def relative_norm(sketched, original) -> float:

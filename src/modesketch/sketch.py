@@ -119,9 +119,10 @@ def make_plan(
     shape:
         Source extents ``n_1 .. n_d``.
     targets:
-        Per-mode target dims, or a float compression ratio resolved by
-        :func:`targets_from_ratio`.  ``None`` produces the all-identity
-        plan; a ``None`` entry marks that single mode as identity.
+        Per-mode target dims, or a float (Python or numpy) compression
+        ratio resolved by :func:`targets_from_ratio`; an integer scalar is
+        rejected.  ``None`` produces the all-identity plan; a ``None``
+        entry marks that single mode as identity.
     variant:
         ``"gaussian"``, ``"fjlt"`` or ``"identity"`` for the non-identity
         modes.
@@ -141,8 +142,11 @@ def make_plan(
 
     if targets is None:
         targets = [None] * len(shape)
-    elif isinstance(targets, float):
-        targets = targets_from_ratio(shape, targets)
+    elif isinstance(targets, (float, np.floating)):
+        targets = targets_from_ratio(shape, float(targets))
+    elif isinstance(targets, (int, np.integer, np.bool_)):
+        raise ValueError(f"targets must be a float ratio or one target dim per mode, "
+                         f"got the scalar {targets!r}")
     targets = list(targets)
     if len(targets) != len(shape):
         raise ValueError(f"{len(targets)} targets for a {len(shape)}-mode tensor")

@@ -342,3 +342,34 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit):
             main(["gen", "--shape", "4,4", "--rank", "1", "--seed", "-3",
                   "--out", str(tmp_path / "x.dten")])
+
+    @pytest.mark.parametrize("command,extra", [
+        ("ls-exp", ["--shape", "4,4"]),
+        ("ls-exp", ["--kind", "coherent"]),
+        ("ls-exp", ["--sigma", "0.2"]),
+        ("ls-exp", ["--gen-seed", "9"]),
+        ("ls-exp", ["--gen-seed", "0"]),
+        ("norm-exp", ["--shape", "4,4"]),
+        ("norm-exp", ["--kind", "gaussian"]),
+        ("norm-exp", ["--sigma", "0.2"]),
+        ("norm-exp", ["--gen-seed", "9"]),
+        ("norm-exp", ["--rank", "7"]),
+    ])
+    def test_input_rejects_synthesis_flags(self, tmp_path, capsys, command, extra):
+        src = tmp_path / "g.dten"
+        main(["gen", "--shape", "6,6,6", "--rank", "2", "--seed", "1", "--out", str(src)])
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        assert main([command, "--input", str(src), "--cs", "0.5", "--trials", "2",
+                     "--out", str(out)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and extra[0] in err and "--input" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ls-exp", "norm-exp"])
+    def test_plain_input_still_runs(self, tmp_path, command):
+        src = tmp_path / "g.dten"
+        main(["gen", "--shape", "6,6,6", "--rank", "2", "--seed", "1", "--out", str(src)])
+        assert main([command, "--input", str(src), "--cs", "0.5", "--trials", "2",
+                     "--out", str(tmp_path / "x.csv")]) == 0

@@ -26,7 +26,7 @@ from modesketch import (
     unfold,
     vectorize,
 )
-from modesketch.cpfit import GRAM_COND_LIMIT
+from modesketch.cpfit import GRAM_COND_LIMIT, GRAM_ERROR_FLOOR
 from modesketch.tensor import khatri_rao_design
 
 from helpers import rel_err
@@ -350,6 +350,72 @@ class TestCpAls:
         data[1, 2, 3] = np.nan
         with pytest.raises(RuntimeError):
             cp_als(DenseTensor(data), 1, max_iters=5, seed=1)
+
+
+FIT_VARIANTS = [(None, "gaussian"), (0.5, "gaussian"), (0.5, "fjlt")]
+
+
+def dense_errors(X, rank, sweeps, **kwargs):
+    """Dense relative error of each sweep's model, by rerunning the fit for
+    exactly k sweeps and expanding the returned model."""
+    errs = []
+    for k in range(1, sweeps + 1):
+        model, _ = cp_als(X, rank, max_iters=k, tol=-np.inf, **kwargs)
+        errs.append(relative_reconstruction_error(X, model.to_tensor()))
+    return errs
+
+
+class TestCpAlsGramError:
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("compression,variant", FIT_VARIANTS)
+    def test_sweep_errors_match_dense_above_floor(self, compression, variant, layout):
+        _, X = synthesize(SynthSpec((20, 20, 20), 4, "gaussian", seed=50))
+        if layout == "F":  # the layout read_tensor returns
+            X = DenseTensor.from_flat(vectorize(X), X.shape)
+        kwargs = dict(seed=51, compression=compression, variant=variant)
+        _, history = cp_als(X, 4, max_iters=10, tol=-np.inf, **kwargs)
+        dense = dense_errors(X, 4, 10, **kwargs)
+        checked = [(h.e_cpd, e) for h, e in zip(history, dense) if e >= GRAM_ERROR_FLOOR]
+        assert len(checked) >= 2
+        assert all(abs(got - want) <= 1e-10 for got, want in checked)
+
+    @pytest.mark.parametrize("tol", [1e-6, -np.inf])
+    @pytest.mark.parametrize("compression,variant", FIT_VARIANTS)
+    def test_last_entry_is_the_dense_error(self, compression, variant, tol):
+        _, X = synthesize(SynthSpec((20, 20, 20), 4, "gaussian", seed=52))
+        X = X + DenseTensor(0.01 * np.random.default_rng(52).standard_normal(X.shape))
+        model, history = cp_als(X, 4, max_iters=30, tol=tol, seed=53,
+                                compression=compression, variant=variant)
+        assert history[-1].e_cpd == relative_reconstruction_error(X, model.to_tensor())
+
+    def test_entries_below_floor_are_dense(self):
+        _, X = synthesize(SynthSpec((20, 20, 20), 4, "gaussian", seed=50))
+        _, history = cp_als(X, 4, max_iters=60, tol=0.0, seed=51)
+        assert history[-1].e_cpd < 1e-13
+        dense = dense_errors(X, 4, len(history), seed=51)
+        below = [(h.e_cpd, e) for h, e in zip(history, dense) if h.e_cpd < GRAM_ERROR_FLOOR]
+        assert len(below) >= 2
+        assert all(got == want for got, want in below)
+
+    def test_model_expanded_once_above_floor(self, monkeypatch):
+        calls = []
+        expand = CpModel.to_tensor
+
+        def counting(self):
+            calls.append(1)
+            return expand(self)
+
+        X = DenseTensor(np.random.default_rng(54).standard_normal((10, 11, 12)))
+        monkeypatch.setattr(CpModel, "to_tensor", counting)
+        _, history = cp_als(X, 2, max_iters=10, tol=-np.inf, seed=54)
+        assert len(history) == 10
+        assert min(h.e_cpd for h in history) > GRAM_ERROR_FLOOR
+        assert len(calls) == 1
+
+    def test_integer_compression_rejected(self):
+        _, X = synthesize(SynthSpec((4, 4), 1, "gaussian", seed=36))
+        with pytest.raises(ValueError, match="targets"):
+            cp_als(X, 1, compression=1)
 
 
 class TestMetrics:

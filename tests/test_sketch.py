@@ -72,6 +72,18 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             make_plan((4, 4), 1.5)
 
+    @pytest.mark.parametrize("scalar", [np.float32(0.5), np.float64(0.5)])
+    def test_numpy_float_targets_are_a_ratio(self, scalar):
+        by_numpy = make_plan((10, 7, 13), scalar, "gaussian", seed=6)
+        by_float = make_plan((10, 7, 13), 0.5, "gaussian", seed=6)
+        assert by_numpy.descriptor() == by_float.descriptor()
+
+    @pytest.mark.parametrize("scalar", [1, True, np.int64(3), np.bool_(False)])
+    def test_integer_scalar_targets_rejected(self, scalar):
+        with pytest.raises(ValueError, match="targets") as exc:
+            make_plan((4, 4), scalar)
+        assert repr(scalar) in str(exc.value)
+
     def test_determinism(self):
         p1 = make_plan((6, 7), (3, 4), "fjlt", second_stage=(5, "gaussian"), seed=4)
         p2 = make_plan((6, 7), (3, 4), "fjlt", second_stage=(5, "gaussian"), seed=4)
