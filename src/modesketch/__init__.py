@@ -5,63 +5,16 @@ compose into one- and two-stage tensor sketches, with coherence
 diagnostics for CP bases, compressed least-squares coefficient recovery,
 and a CP-ALS fitter.  The ``modesketch`` CLI drives file I/O and seeded
 experiment sweeps.
+
+The package namespace republishes the public names of its modules: each
+name listed in the ``__all__`` of ``tensor``, ``embeddings``, ``sketch``,
+``diagnostics`` and ``cpfit`` is importable from ``modesketch`` itself.
 """
 
-from .tensor import (
-    DenseTensor,
-    fold,
-    inner,
-    khatri_rao,
-    mode_product,
-    multi_mode_product,
-    norm,
-    outer_product,
-    unfold,
-    vectorize,
-)
-from .embeddings import (
-    Embedding,
-    FJLTEmbedding,
-    GaussianEmbedding,
-    IdentityEmbedding,
-    derive_seed,
-    fjlt_embedding,
-    gaussian_embedding,
-    make_rng,
-)
-from .sketch import (
-    SketchPlan,
-    make_plan,
-    plan_from_descriptor,
-    sketch_full,
-    sketch_modewise,
-    sketch_rank1,
-    targets_from_ratio,
-    vector_subspace_sketch,
-)
-from .diagnostics import (
-    CoefficientNormBound,
-    CoherenceReport,
-    CpModel,
-    coefficient_norm_bound,
-    coherence,
-    normalize,
-    subgaussian_coherence_check,
-)
-from .cpfit import (
-    DegenerateBasisError,
-    FitRecord,
-    LsSolution,
-    SynthSpec,
-    compressed_ls_coefficients,
-    cp_als,
-    decoupled_ls_slice,
-    decoupled_factor_update,
-    ls_coefficients,
-    relative_coefficient_norm,
-    relative_norm,
-    relative_reconstruction_error,
-    synthesize,
-)
+from .tensor import *  # noqa: F401,F403
+from .embeddings import *  # noqa: F401,F403
+from .sketch import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .cpfit import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import numpy as np
 from .diagnostics import CpModel, draw_unit_factors
 from .embeddings import derive_seed, make_rng
 from .sketch import SketchPlan, make_plan, sketch_modewise
-from .tensor import DenseTensor, khatri_rao_design, norm, unfold, vectorize
+from .tensor import DenseTensor, _check_axis, khatri_rao_design, norm, unfold, vectorize
 
 __all__ = [
     "DegenerateBasisError",
@@ -181,8 +181,6 @@ def compressed_ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
 def _slice_tensor(X: DenseTensor, mode: int, index: int) -> DenseTensor:
     row = unfold(X, mode)[index]
     rest = X.shape[:mode] + X.shape[mode + 1 :]
-    if not rest:
-        rest = (1,)
     return DenseTensor(row.reshape(rest, order="F"), copy=False)
 
 
@@ -196,8 +194,9 @@ def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
     slice problem is sketched modewise with ``plan``, a plan for the
     reduced shape; without one it is solved exactly (the identity plan).
     """
-    if not 0 <= mode < X.ndim:
-        raise IndexError(f"mode {mode} out of range for a {X.ndim}-mode tensor")
+    if X.ndim < 2:
+        raise ValueError("a decoupled slice solve needs at least two modes")
+    _check_axis(X.shape, mode)
     if not 0 <= index < X.shape[mode]:
         raise IndexError(f"slice {index} out of range for mode {mode} "
                          f"of extent {X.shape[mode]}")
@@ -358,18 +357,12 @@ def relative_norm(sketched, original) -> float:
 
 def relative_coefficient_norm(estimated, reference) -> float:
     """2-norm ratio of estimated to reference coefficients."""
-    denom = float(np.linalg.norm(np.asarray(reference, dtype=np.complex128)))
-    if denom == 0.0:
-        raise ValueError("relative coefficient norm undefined: reference is zero")
-    return float(np.linalg.norm(np.asarray(estimated, dtype=np.complex128))) / denom
+    return relative_norm(estimated, reference)
 
 
 def relative_reconstruction_error(X: DenseTensor, X_hat: DenseTensor) -> float:
     """Relative reconstruction error ``||X - X_hat|| / ||X||``."""
-    denom = norm(X)
-    if denom == 0.0:
-        raise ValueError("relative error undefined: the data tensor has zero norm")
-    return norm(X - X_hat) / denom
+    return relative_norm(X - X_hat, X)
 
 
 def _norm_of(obj) -> float:

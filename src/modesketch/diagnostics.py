@@ -65,26 +65,17 @@ class CpModel:
     def shape(self) -> tuple[int, ...]:
         return tuple(f.shape[0] for f in self.factors)
 
-    def factor_columns(self, k: int) -> list[np.ndarray]:
-        return [f[:, k] for f in self.factors]
-
     def to_tensor(self) -> DenseTensor:
         """Dense expansion: the weighted sum of the rank-one terms."""
         acc = np.zeros(self.shape, dtype=np.complex128)
         for k in range(self.rank):
-            acc += self.weights[k] * outer_product(self.factor_columns(k)).data
+            acc += self.weights[k] * outer_product([f[:, k] for f in self.factors]).data
         return DenseTensor(acc, copy=False)
 
     def is_standard_form(self, tol: float = STANDARD_FORM_TOL) -> bool:
         return all(
             np.all(np.abs(np.linalg.norm(f, axis=0) - 1.0) <= tol) for f in self.factors
         )
-
-
-def _require_standard_form(model: CpModel) -> None:
-    if not model.is_standard_form():
-        raise ValueError("model is not in standard form (factor columns must have unit "
-                         "2-norm); call normalize() first")
 
 
 def normalize(model: CpModel) -> CpModel:
@@ -139,7 +130,9 @@ def coherence(model: CpModel) -> CoherenceReport:
     The admissibility flag records whether ``max_modewise ** (d-1)`` stays
     below ``1 / (2 r)``.
     """
-    _require_standard_form(model)
+    if not model.is_standard_form():
+        raise ValueError("model is not in standard form (factor columns must have unit "
+                         "2-norm); call normalize() first")
     r, d = model.rank, model.ndim
     if r == 1:
         return CoherenceReport((0.0,) * d, 0.0, 0.0, 1, True)
@@ -174,10 +167,8 @@ class CoefficientNormBound:
 
 
 def coefficient_norm_bound(model: CpModel) -> CoefficientNormBound:
-    _require_standard_form(model)
+    mu_prime = coherence(model).basis_coherence
     r = model.rank
-    report = coherence(model)
-    mu_prime = report.basis_coherence
 
     dense_norm_sq = float(np.linalg.norm(model.to_tensor().data.ravel()) ** 2)
     if dense_norm_sq == 0.0:

@@ -24,7 +24,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .tensor import DenseTensor, mode_product
+from .tensor import DenseTensor, _check_axis, mode_product
 
 __all__ = [
     "GaussianEmbedding",
@@ -59,11 +59,6 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(2, dtype=np.uint64)[0])
 
 
-def _check_vector_length(n: int, x: np.ndarray) -> None:
-    if x.shape[0] != n:
-        raise ValueError(f"embedding of source dim {n} applied to length-{x.shape[0]} input")
-
-
 @dataclass(frozen=True)
 class GaussianEmbedding:
     """Explicit ``m x n`` matrix with i.i.d. N(0, 1/m) real entries."""
@@ -82,7 +77,7 @@ class GaussianEmbedding:
     def apply(self, x) -> np.ndarray:
         """Multiply a vector (or the columns of a matrix) by the map."""
         x = np.asarray(x, dtype=np.complex128)
-        _check_vector_length(self.n, x)
+        _check_axis(x.shape, 0, self.n)
         return self.matrix @ x
 
     def apply_to_mode(self, X: DenseTensor, mode: int) -> DenseTensor:
@@ -143,15 +138,11 @@ class FJLTEmbedding:
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
-        _check_vector_length(self.n, x)
+        _check_axis(x.shape, 0, self.n)
         return self._transform(x, 0)
 
     def apply_to_mode(self, X: DenseTensor, mode: int) -> DenseTensor:
-        if not 0 <= mode < X.ndim:
-            raise IndexError(f"mode {mode} out of range for a {X.ndim}-mode tensor")
-        if X.shape[mode] != self.n:
-            raise ValueError(f"mode {mode} extent {X.shape[mode]} does not match "
-                             f"embedding source dim {self.n}")
+        _check_axis(X.shape, mode, self.n)
         return DenseTensor(self._transform(X.data, mode), copy=False)
 
     def as_matrix(self) -> np.ndarray:
@@ -173,12 +164,11 @@ class IdentityEmbedding:
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
-        _check_vector_length(self.n, x)
+        _check_axis(x.shape, 0, self.n)
         return x
 
     def apply_to_mode(self, X: DenseTensor, mode: int) -> DenseTensor:
-        if X.shape[mode] != self.n:
-            raise ValueError(f"mode {mode} extent {X.shape[mode]} does not match {self.n}")
+        _check_axis(X.shape, mode, self.n)
         return X
 
     def as_matrix(self) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cpfit import compressed_ls_coefficients, ls_coefficients
 from .embeddings import derive_seed
-from .sketch import make_plan, sketch_full, sketch_modewise
+from .sketch import make_plan, sketch_full, sketch_modewise, targets_from_ratio
 from .tensor import DenseTensor, norm
 
 __all__ = [
@@ -49,19 +49,19 @@ class ExperimentRecord:
     wall_ms: float
 
 
-def _grid(cs_values: Sequence[float], trials: int,
+def _grid(shape: Sequence[int], cs_values: Sequence[float], trials: int,
           seed: int) -> list[tuple[float, int, int]]:
     """The validated sweep as ``(c_s, trial, trial seed)`` points.
 
-    The trial seed is derived from ``(seed, c_s index, trial)``.  Ratios are
-    checked up front so a bad one fails before any trial runs.
+    The trial seed is derived from ``(seed, c_s index, trial)``.  Every ratio
+    is resolved against ``shape`` up front so a bad one fails before any
+    trial runs.
     """
     ratios = [float(c) for c in cs_values]
     if not ratios:
         raise ValueError("need at least one compression ratio")
     for c in ratios:
-        if not 0.0 < c <= 1.0:
-            raise ValueError(f"compression ratio must lie in (0, 1], got {c}")
+        targets_from_ratio(shape, c)
     if trials < 1:
         raise ValueError("need at least one trial")
     return [(cs, t, derive_seed(seed, _TRIAL_STREAM, ci, t))
@@ -81,8 +81,10 @@ def norm_experiment(
     Every trial draws a fresh plan from a seed derived from ``(seed,
     c_s index, trial)``.
     """
-    grid = _grid(cs_values, trials, seed)
+    grid = _grid(X.shape, cs_values, trials, seed)
     norm_x = norm(X)
+    if norm_x == 0.0:
+        raise ValueError("norm ratios are undefined: the data tensor has zero norm")
     records = []
     for cs, t, trial_seed in grid:
         t0 = time.perf_counter()
@@ -111,7 +113,7 @@ def ls_experiment(
     solution over the given basis; each trial reports the coefficient-norm
     ratio ``c_n_alpha`` and the relative coefficient error.
     """
-    grid = _grid(cs_values, trials, seed)
+    grid = _grid(X.shape, cs_values, trials, seed)
     reference = ls_coefficients(X, factors).coefficients
     ref_norm = float(np.linalg.norm(reference))
     if ref_norm == 0.0:

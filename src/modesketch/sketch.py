@@ -50,15 +50,17 @@ def targets_from_ratio(shape: Sequence[int], ratio: float) -> tuple[int, ...]:
     return tuple(math.ceil(ratio * n) for n in shape)
 
 
-def _draw(variant: str, m: int, n: int, seed: int) -> Embedding:
-    if variant == "gaussian":
-        return gaussian_embedding(m, n, make_rng(seed))
-    if variant == "fjlt":
-        return fjlt_embedding(m, n, make_rng(seed))
+def _draw(variant: str, m: int, n: int, seed: int, *key: int) -> Embedding:
+    """An ``m x n`` embedding; a random variant draws from the stream
+    ``derive_seed(seed, *key)``, the identity marker draws nothing."""
     if variant == "identity":
         if m != n:
             raise ValueError(f"identity marker cannot change dimension {n} to {m}")
         return IdentityEmbedding(n)
+    if variant == "gaussian":
+        return gaussian_embedding(m, n, make_rng(derive_seed(seed, *key)))
+    if variant == "fjlt":
+        return fjlt_embedding(m, n, make_rng(derive_seed(seed, *key)))
     raise ValueError(f"unknown embedding variant {variant!r}; expected one of {VARIANTS}")
 
 
@@ -119,10 +121,11 @@ def make_plan(
     shape:
         Source extents ``n_1 .. n_d``.
     targets:
-        Per-mode target dims, or a float (Python or numpy) compression
-        ratio resolved by :func:`targets_from_ratio`; an integer scalar is
-        rejected.  ``None`` produces the all-identity plan; a ``None``
-        entry marks that single mode as identity.
+        Per-mode target dims, each a positive ``int`` or numpy integer (not
+        a bool), or a float (Python or numpy) compression ratio resolved by
+        :func:`targets_from_ratio`; an integer scalar is rejected.  ``None``
+        produces the all-identity plan; a ``None`` entry marks that single
+        mode as identity.
     variant:
         ``"gaussian"``, ``"fjlt"`` or ``"identity"`` for the non-identity
         modes.
@@ -153,15 +156,13 @@ def make_plan(
 
     embeddings: list[Embedding] = []
     for mode, (n, t) in enumerate(zip(shape, targets)):
-        if t is None or variant == "identity":
-            if t is not None and int(t) != n:
-                raise ValueError(f"identity marker for mode {mode} must keep extent {n}")
-            embeddings.append(IdentityEmbedding(n))
+        if t is None:
+            embeddings.append(_draw("identity", n, n, seed))
             continue
-        t = int(t)
-        if t < 1:
-            raise ValueError(f"target dim for mode {mode} must be positive, got {t}")
-        embeddings.append(_draw(variant, t, n, derive_seed(seed, _MODE_STREAM, mode)))
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
+            raise ValueError(f"target dim for mode {mode} must be a positive integer "
+                             f"or None, got {t!r}")
+        embeddings.append(_draw(variant, int(t), n, seed, _MODE_STREAM, mode))
 
     stage2: Optional[Embedding] = None
     if second_stage is not None:
@@ -171,7 +172,7 @@ def make_plan(
             if stage_variant != "identity":
                 raise ValueError("second-stage target dim is required unless identity")
             m_prime = source
-        stage2 = _draw(stage_variant, int(m_prime), source, derive_seed(seed, _STAGE2_STREAM))
+        stage2 = _draw(stage_variant, int(m_prime), source, seed, _STAGE2_STREAM)
 
     return SketchPlan(shape, tuple(embeddings), stage2, variant, int(seed))
 
@@ -256,10 +257,10 @@ def vector_subspace_sketch(
 
     The vector is zero-padded up to the smallest d-th power, reshaped
     colexicographically, and pushed through a two-stage sketch.  ``targets``
-    may be a per-mode sequence, a single int used for every mode, or a
-    float compression ratio (see :func:`make_plan`).  When no second stage
-    is requested an identity stage is used, so the result is the vectorized
-    modewise sketch.
+    may be a per-mode sequence, a single ``int`` or numpy integer used for
+    every mode (a bool is rejected), or a float compression ratio (see
+    :func:`make_plan`).  When no second stage is requested an identity
+    stage is used, so the result is the vectorized modewise sketch.
     """
     if d < 2:
         raise ValueError(f"need at least two modes, got d={d}")
@@ -271,7 +272,7 @@ def vector_subspace_sketch(
     padded[: x.size] = x
     cube = DenseTensor(padded.reshape((side,) * d, order="F"), copy=False)
 
-    if isinstance(targets, int):
+    if isinstance(targets, (int, np.integer)) and not isinstance(targets, bool):
         targets = (targets,) * d
     if second_stage is None:
         second_stage = (None, "identity")

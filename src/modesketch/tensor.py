@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -93,9 +93,13 @@ class DenseTensor:
         return f"DenseTensor(shape={self.shape})"
 
 
-def _check_mode(X: DenseTensor, mode: int) -> None:
-    if not 0 <= mode < X.ndim:
-        raise IndexError(f"mode {mode} out of range for a {X.ndim}-mode tensor")
+def _check_axis(shape: Sequence[int], mode: int, extent: Optional[int] = None) -> None:
+    """Reject a mode outside ``shape``, or one whose extent is not ``extent``."""
+    if not 0 <= mode < len(shape):
+        raise IndexError(f"mode {mode} out of range for a {len(shape)}-mode tensor")
+    if extent is not None and shape[mode] != extent:
+        raise ValueError(f"mode {mode} has extent {shape[mode]}, but the map acts on "
+                         f"dimension {extent}")
 
 
 def unfold(X: DenseTensor, mode: int) -> np.ndarray:
@@ -105,7 +109,7 @@ def unfold(X: DenseTensor, mode: int) -> np.ndarray:
     the mode fibers of ``X``, ordered over the remaining modes ascending
     with the smallest remaining mode varying fastest.
     """
-    _check_mode(X, mode)
+    _check_axis(X.shape, mode)
     moved = np.moveaxis(X.data, mode, 0)
     return moved.reshape(X.shape[mode], -1, order="F")
 
@@ -115,8 +119,7 @@ def fold(M, mode: int, shape: Sequence[int]) -> DenseTensor:
     mode-``mode`` matricization."""
     shape = tuple(int(n) for n in shape)
     M = np.asarray(M, dtype=np.complex128)
-    if not 0 <= mode < len(shape):
-        raise IndexError(f"mode {mode} out of range for a {len(shape)}-mode tensor")
+    _check_axis(shape, mode)
     rest = shape[:mode] + shape[mode + 1 :]
     expected = (shape[mode], math.prod(rest) if rest else 1)
     if M.ndim != 2 or M.shape != expected:
@@ -132,13 +135,10 @@ def mode_product(X: DenseTensor, U, mode: int) -> DenseTensor:
     Every mode fiber of ``X`` is multiplied by ``U``; the result replaces
     extent ``n_mode`` with the row count of ``U``.
     """
-    _check_mode(X, mode)
     U = np.asarray(U, dtype=np.complex128)
     if U.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {U.ndim}")
-    if U.shape[1] != X.shape[mode]:
-        raise ValueError(f"matrix with {U.shape[1]} columns cannot act on mode {mode} "
-                         f"of extent {X.shape[mode]}")
+    _check_axis(X.shape, mode, U.shape[1])
     out = np.tensordot(U, X.data, axes=([1], [mode]))
     return DenseTensor(np.moveaxis(out, 0, mode), copy=False)
 

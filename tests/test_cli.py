@@ -4,9 +4,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modesketch import CpModel, DenseTensor
 from modesketch.cli import main
+from modesketch.harness import norm_experiment
 from modesketch.tensorfile import read_sidecar, read_tensor, sidecar_path, write_tensor
 
 RNG = np.random.default_rng(606)
@@ -65,6 +68,25 @@ class TestTensorFile:
         huge.write_bytes(b"DTEN\x01\x00\x02" + struct.pack("<2Q", 2**40, 2**40))
         with pytest.raises(ValueError, match="payload size does not match shape"):
             read_tensor(huge)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_damaged_headers_raise_only_value_error(self, tmp_path_factory, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        values = np.ones(shape) + (1j if data.draw(st.booleans()) else 0.0)
+        path = tmp_path_factory.getbasetemp() / "fuzz.dten"
+        write_tensor(path, DenseTensor(values))
+        raw = bytearray(path.read_bytes())
+        header = 7 + 8 * len(shape)
+        for _ in range(data.draw(st.integers(0, 3))):
+            raw[data.draw(st.integers(0, header - 1))] = data.draw(st.integers(0, 255))
+        if data.draw(st.booleans()):
+            del raw[data.draw(st.integers(0, len(raw))):]
+        path.write_bytes(bytes(raw))
+        try:
+            read_tensor(path)
+        except ValueError:
+            pass
 
 
 class TestGen:
@@ -197,6 +219,20 @@ class TestNormExp:
         assert main(["norm-exp", "--shape", "6,6", "--rank", "1", "--cs", "1.5",
                      "--trials", "2", "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("second", [None, "10:gaussian"])
+    def test_zero_tensor_rejected(self, tmp_path, capsys, second):
+        zero = DenseTensor.zeros((4, 4, 4))
+        stage = None if second is None else (10, "gaussian")
+        with pytest.raises(ValueError, match="zero norm"):
+            norm_experiment(zero, [0.5], 2, second_stage=stage)
+        path = tmp_path / "zeros.dten"
+        write_tensor(path, zero)
+        argv = ["norm-exp", "--input", str(path), "--cs", "0.5", "--trials", "2",
+                "--out", str(tmp_path / "z.csv")]
+        assert main(argv + ([] if second is None else ["--second-stage", second])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zero norm" in err and err.count("\n") == 1
 
     def test_second_stage_flag(self, tmp_path):
         out = tmp_path / "n.csv"

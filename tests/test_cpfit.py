@@ -277,6 +277,10 @@ class TestDecoupledSlices:
             decoupled_ls_slice(X, model.factors, 2, 0)
         with pytest.raises(IndexError):
             decoupled_ls_slice(X, model.factors, 0, 4)
+        with pytest.raises(IndexError):
+            decoupled_ls_slice(X, model.factors, -1, 0)
+        with pytest.raises(ValueError, match="two modes"):
+            decoupled_ls_slice(DenseTensor(np.ones(3)), [np.ones((3, 1))], 0, 0)
 
 
 class TestCpAls:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from modesketch import (
     FJLTEmbedding,
+    IdentityEmbedding,
     derive_seed,
     fjlt_embedding,
     gaussian_embedding,
@@ -159,10 +160,17 @@ class TestApplyToMode:
         other = e1.apply_to_mode(e2.apply_to_mode(X, 1), 0)
         assert rel_err(one.data, other.data) < 1e-12
 
-    def test_extent_mismatch(self):
+    @pytest.mark.parametrize("mode, error", [(0, ValueError), (-1, IndexError),
+                                             (2, IndexError)],
+                             ids=["extent", "mode-1", "mode-ndim"])
+    @pytest.mark.parametrize("kind", ["gaussian", "fjlt", "identity"])
+    def test_extent_mismatch(self, kind, mode, error):
+        # The map fits the last mode, so only the index check rejects mode -1.
         X = random_tensor(RNG, (4, 3))
-        with pytest.raises(ValueError):
-            fjlt_embedding(2, 5, make_rng(0)).apply_to_mode(X, 0)
+        makers = {"gaussian": gaussian_embedding, "fjlt": fjlt_embedding}
+        e = IdentityEmbedding(3) if kind == "identity" else makers[kind](2, 3, make_rng(0))
+        with pytest.raises(error):
+            e.apply_to_mode(X, mode)
 
 
 @pytest.mark.parametrize("maker", [gaussian_embedding, fjlt_embedding])

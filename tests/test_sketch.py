@@ -1,15 +1,22 @@
 """Sketch plans: modewise and two-stage application, rank-one factoring,
 vector reshaping, descriptors, and norm-preservation statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modesketch import (
     CpModel,
     DenseTensor,
     SynthSpec,
     derive_seed,
+    fjlt_embedding,
+    gaussian_embedding,
     make_plan,
+    make_rng,
     norm,
     outer_product,
     plan_from_descriptor,
@@ -83,6 +90,16 @@ class TestMakePlan:
         with pytest.raises(ValueError, match="targets") as exc:
             make_plan((4, 4), scalar)
         assert repr(scalar) in str(exc.value)
+
+    @pytest.mark.parametrize("entry", [2.5, np.float64(2.0), True, np.bool_(True), "3", 0])
+    def test_target_entries_must_be_positive_integers(self, entry):
+        with pytest.raises(ValueError, match="mode 1") as exc:
+            make_plan((4, 4), [3, entry])
+        assert repr(entry) in str(exc.value)
+
+    def test_numpy_integer_entries_accepted(self):
+        by_numpy = make_plan((6, 7), [np.int64(3), np.int32(4)], "fjlt", seed=2)
+        assert by_numpy.descriptor() == make_plan((6, 7), [3, 4], "fjlt", seed=2).descriptor()
 
     def test_determinism(self):
         p1 = make_plan((6, 7), (3, 4), "fjlt", second_stage=(5, "gaussian"), seed=4)
@@ -270,6 +287,11 @@ class TestVectorSubspaceSketch:
         a = vector_subspace_sketch(x, 3, 0.5, "gaussian", seed=4)
         b = vector_subspace_sketch(x, 3, 2, "gaussian", seed=4)
         np.testing.assert_allclose(a, b)  # ceil(0.5 * 3) == 2 per mode
+        c = vector_subspace_sketch(x, 3, np.int64(2), "gaussian", seed=4)
+        np.testing.assert_array_equal(c, b)
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError):
+                vector_subspace_sketch(x, 3, flag, "gaussian", seed=4)
 
     def test_norm_preservation_statistics(self):
         x = np.random.default_rng(11).standard_normal(64)
@@ -300,6 +322,48 @@ class TestDescriptor:
 
         np.testing.assert_array_equal(run(clone), run(plan))
         assert clone.descriptor() == plan.descriptor()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_roundtrip_reproduces_every_field(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+        variant = data.draw(st.sampled_from(["gaussian", "fjlt", "identity"]))
+        seed = data.draw(st.integers(0, 2**32))
+        targets = None
+        if data.draw(st.booleans()):
+            targets = tuple(data.draw(st.none() | st.integers(1, n)) if variant != "identity"
+                            else data.draw(st.sampled_from([None, n])) for n in shape)
+        source = 1
+        for n, t in zip(shape, targets or shape):
+            source *= n if t is None else t
+        second = data.draw(st.sampled_from([None, "gaussian", "fjlt", "identity"]))
+        if second == "identity":
+            second = (None, "identity")
+        elif second is not None:
+            second = (data.draw(st.integers(1, min(8, source))), second)
+        plan = make_plan(shape, targets, variant, second_stage=second, seed=seed)
+        clone = plan_from_descriptor(plan.descriptor())
+        assert (clone.shape, clone.variant, clone.seed) == (plan.shape, plan.variant, seed)
+
+        def same(a, b):
+            assert type(a) is type(b)
+            for field in dataclasses.fields(a):
+                np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+
+        for a, b in zip(plan.mode_embeddings, clone.mode_embeddings, strict=True):
+            same(a, b)
+        if second is None:
+            assert clone.second_stage is None
+        else:
+            same(plan.second_stage, clone.second_stage)
+        # Random maps draw from the documented streams: (seed, 0, mode) for
+        # mode maps, (seed, 1) for the second stage.
+        makers = {"gaussian": gaussian_embedding, "fjlt": fjlt_embedding}
+        streams = [(e, (0, mode)) for mode, e in enumerate(plan.mode_embeddings)]
+        streams += [(plan.second_stage, (1,))] if second is not None else []
+        for e, key in streams:
+            if e.kind != "identity":
+                same(e, makers[e.kind](e.m, e.n, make_rng(derive_seed(seed, *key))))
 
     def test_bad_descriptor_rejected(self):
         with pytest.raises(ValueError):
