@@ -9,6 +9,7 @@ byte-identical across reruns by default.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,6 +86,8 @@ def norm_experiment(
     norm_x = norm(X)
     if norm_x == 0.0:
         raise ValueError("norm ratios are undefined: the data tensor has zero norm")
+    if not math.isfinite(norm_x):
+        raise ValueError(f"norm ratios are undefined: the data tensor has norm {norm_x}")
     records = []
     for cs, t, trial_seed in grid:
         t0 = time.perf_counter()

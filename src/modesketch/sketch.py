@@ -50,6 +50,13 @@ def targets_from_ratio(shape: Sequence[int], ratio: float) -> tuple[int, ...]:
     return tuple(math.ceil(ratio * n) for n in shape)
 
 
+def _target_dim(value, what: str) -> int:
+    """A target dim given as a positive ``int`` or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be a positive integer or None, got {value!r}")
+    return int(value)
+
+
 def _draw(variant: str, m: int, n: int, seed: int, *key: int) -> Embedding:
     """An ``m x n`` embedding; a random variant draws from the stream
     ``derive_seed(seed, *key)``, the identity marker draws nothing."""
@@ -131,8 +138,9 @@ def make_plan(
         modes.
     second_stage:
         ``None``, or ``(m_prime, variant)`` for a final embedding of the
-        vectorized intermediate tensor.  ``m_prime=None`` with variant
-        ``"identity"`` keeps the intermediate dimension.
+        vectorized intermediate tensor; ``m_prime`` follows the rule for a
+        per-mode target.  ``m_prime=None`` with variant ``"identity"`` keeps
+        the intermediate dimension.
     seed:
         Master seed; mode ``j`` uses the derived seed ``(seed, 0, j)`` and
         the second stage ``(seed, 1)``.
@@ -159,10 +167,8 @@ def make_plan(
         if t is None:
             embeddings.append(_draw("identity", n, n, seed))
             continue
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
-            raise ValueError(f"target dim for mode {mode} must be a positive integer "
-                             f"or None, got {t!r}")
-        embeddings.append(_draw(variant, int(t), n, seed, _MODE_STREAM, mode))
+        m = _target_dim(t, f"target dim for mode {mode}")
+        embeddings.append(_draw(variant, m, n, seed, _MODE_STREAM, mode))
 
     stage2: Optional[Embedding] = None
     if second_stage is not None:
@@ -172,7 +178,8 @@ def make_plan(
             if stage_variant != "identity":
                 raise ValueError("second-stage target dim is required unless identity")
             m_prime = source
-        stage2 = _draw(stage_variant, int(m_prime), source, seed, _STAGE2_STREAM)
+        m_prime = _target_dim(m_prime, "second-stage target dim")
+        stage2 = _draw(stage_variant, m_prime, source, seed, _STAGE2_STREAM)
 
     return SketchPlan(shape, tuple(embeddings), stage2, variant, int(seed))
 

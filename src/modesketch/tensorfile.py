@@ -57,6 +57,8 @@ def read_tensor(path: Union[str, Path]) -> DenseTensor:
         raise ValueError(f"{path}: payload size does not match shape {shape}")
     dtype = "<f8" if kind == KIND_REAL else "<c16"
     flat = np.frombuffer(raw, dtype=dtype, count=count, offset=header_end)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: payload holds NaN or infinite values")
     return DenseTensor.from_flat(flat, shape)
 
 

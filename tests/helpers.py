@@ -24,6 +24,15 @@ def random_tensor(rng, shape, complex_entries=True) -> DenseTensor:
     return DenseTensor(data)
 
 
+def layouts(rng, shape) -> dict:
+    """One complex array of ``shape`` laid out three ways: C-ordered,
+    F-ordered, and strided with no contiguous axis at all."""
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    wide = np.zeros(tuple(shape[:-1]) + (2 * shape[-1],), dtype=np.complex128)
+    wide[..., ::2] = data
+    return {"C": data, "F": np.asfortranarray(data), "strided": wide[..., ::2]}
+
+
 def random_matrix(rng, m, n, complex_entries=True) -> np.ndarray:
     data = rng.standard_normal((m, n))
     if complex_entries:

@@ -69,6 +69,18 @@ class TestTensorFile:
         with pytest.raises(ValueError, match="payload size does not match shape"):
             read_tensor(huge)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_rejects_non_finite_payload(self, tmp_path, capsys, bad):
+        values = np.ones((3, 4), dtype=np.complex128)
+        values[1, 2] = bad
+        path = tmp_path / "bad.dten"
+        write_tensor(path, DenseTensor(values))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            read_tensor(path)
+        assert main(["info", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NaN or infinite" in err and err.count("\n") == 1
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_damaged_headers_raise_only_value_error(self, tmp_path_factory, data):
@@ -233,6 +245,13 @@ class TestNormExp:
         assert main(argv + ([] if second is None else ["--second-stage", second])) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "zero norm" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, bad):
+        values = np.ones((4, 4, 4))
+        values[1, 2, 3] = bad
+        with pytest.raises(ValueError, match=f"the data tensor has norm {bad}"):
+            norm_experiment(DenseTensor(values), [0.5], 2)
 
     def test_second_stage_flag(self, tmp_path):
         out = tmp_path / "n.csv"

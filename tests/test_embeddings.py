@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modesketch import (
+    DenseTensor,
     FJLTEmbedding,
     IdentityEmbedding,
     derive_seed,
@@ -14,8 +15,9 @@ from modesketch import (
     make_rng,
     mode_product,
 )
+from modesketch.embeddings import _GEMM_MAX_ROWS, _GEMM_MAX_ROWS_CONTIGUOUS
 
-from helpers import random_tensor, rel_err
+from helpers import layouts, random_tensor, rel_err
 
 RNG = np.random.default_rng(7141)
 
@@ -69,6 +71,22 @@ class TestGaussian:
         e = gaussian_embedding(2, 5, make_rng(1))
         with pytest.raises(ValueError):
             e.apply(np.ones(4))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_apply_to_columns_matches_promoted_product(self, layout):
+        e = gaussian_embedding(6, 40, make_rng(4))
+        x = layouts(RNG, (40, 9))[layout]
+        got = e.apply(x)
+        assert got.shape == (6, 9)
+        assert rel_err(got, e.as_matrix() @ x) < 1e-12
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_apply_to_vector_matches_promoted_product(self, step):
+        e = gaussian_embedding(6, 40, make_rng(5))
+        x = (RNG.standard_normal(80) + 1j * RNG.standard_normal(80))[::step][:40]
+        got = e.apply(x)
+        assert got.shape == (6,)
+        assert rel_err(got, e.as_matrix() @ x) < 1e-12
 
 
 class TestFJLT:
@@ -137,6 +155,57 @@ class TestFJLT:
         e = fjlt_embedding(m, n, make_rng(seed))
         x = np.random.default_rng(seed ^ 0xABCDEF).standard_normal(n)
         assert rel_err(e.apply(x), e.as_matrix() @ x) < 1e-10
+
+
+class TestFJLTGemmCrossover:
+    """Both sides of the GEMM/FFT crossover against the FFT-of-identity
+    matrix.  The long extent leaves more fibers than rows, so only m picks
+    the side: 8 rows run the GEMM, ``_GEMM_MAX_ROWS + 1`` rows the FFT, and
+    ``_GEMM_MAX_ROWS_CONTIGUOUS + 1`` rows the GEMM only off the contiguous
+    axis."""
+
+    N = _GEMM_MAX_ROWS + 8
+    ROWS = [8, _GEMM_MAX_ROWS_CONTIGUOUS + 1, _GEMM_MAX_ROWS + 1]
+
+    @staticmethod
+    def gemm_side(m, data, axis):
+        if m == _GEMM_MAX_ROWS_CONTIGUOUS + 1:
+            return data.strides[axis] != data.itemsize
+        return m == 8
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize("m", ROWS)
+    def test_apply_to_mode_matches_dense(self, m, mode, layout):
+        shape = [17, 16]
+        shape.insert(mode, self.N)
+        X = DenseTensor(layouts(RNG, tuple(shape))[layout], copy=False)
+        e = fjlt_embedding(m, self.N, make_rng(derive_seed(m, mode)))
+        assert e._use_gemm(X.data, mode) == self.gemm_side(m, X.data, mode)
+        got = e.apply_to_mode(X, mode)
+        assert got.shape == tuple(m if j == mode else n for j, n in enumerate(shape))
+        assert rel_err(got.data, mode_product(X, e.as_matrix(), mode).data) < 1e-10
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("m", ROWS)
+    def test_apply_to_columns_matches_dense(self, m, layout):
+        x = layouts(RNG, (self.N, 272))[layout]
+        e = fjlt_embedding(m, self.N, make_rng(m))
+        assert e._use_gemm(x, 0) == self.gemm_side(m, x, 0)
+        assert rel_err(e.apply(x), e.as_matrix() @ x) < 1e-10
+
+    def test_fewer_fibers_than_rows_use_the_fft(self):
+        e = fjlt_embedding(8, self.N, make_rng(3))
+        x = layouts(RNG, (self.N, 7))["C"]
+        assert not e._use_gemm(x, 0)
+        assert rel_err(e.apply(x), e.as_matrix() @ x) < 1e-10
+
+    @pytest.mark.parametrize("n", [97, 1021, 2039, 2048])
+    def test_matrix_matches_fft_of_identity(self, n):
+        # 97, 1021 and 2039 are prime
+        e = fjlt_embedding(min(n, 205), n, make_rng(n))
+        want = np.fft.fft(np.eye(n))[e.rows] * e.signs * e.scale
+        assert np.max(np.abs(e._matrix() - want)) <= 1e-12 * e.scale
 
 
 class TestApplyToMode:

@@ -97,6 +97,17 @@ class TestMakePlan:
             make_plan((4, 4), [3, entry])
         assert repr(entry) in str(exc.value)
 
+    @pytest.mark.parametrize("m_prime", [2.5, True, np.True_, 0, -3, "4", np.float64(3.0)])
+    def test_second_stage_dim_must_be_positive_integer(self, m_prime):
+        with pytest.raises(ValueError, match="second-stage target dim") as exc:
+            make_plan((4, 4), (2, 2), "gaussian", second_stage=(m_prime, "gaussian"))
+        assert repr(m_prime) in str(exc.value)
+
+    def test_numpy_integer_second_stage_accepted(self):
+        by_numpy = make_plan((6, 7), (3, 4), "fjlt", second_stage=(np.int32(5), "fjlt"), seed=2)
+        plain = make_plan((6, 7), (3, 4), "fjlt", second_stage=(5, "fjlt"), seed=2)
+        assert by_numpy.descriptor() == plain.descriptor()
+
     def test_numpy_integer_entries_accepted(self):
         by_numpy = make_plan((6, 7), [np.int64(3), np.int32(4)], "fjlt", seed=2)
         assert by_numpy.descriptor() == make_plan((6, 7), [3, 4], "fjlt", seed=2).descriptor()

@@ -19,7 +19,7 @@ from modesketch import (
 )
 from modesketch.tensor import khatri_rao_design
 
-from helpers import random_matrix, random_tensor, rel_err
+from helpers import layouts, random_matrix, random_tensor, rel_err
 
 RNG = np.random.default_rng(20240817)
 
@@ -158,6 +158,16 @@ class TestModeProduct:
             assert np.array_equal(fold(unfold(X, j), j, X.shape).data, X.data)
         Y = mode_product(X, random_matrix(RNG, 2, 1), 0)
         assert Y.shape == (2, 3, 1)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_real_matrix_matches_promoted_product(self, mode, layout):
+        X = DenseTensor(layouts(RNG, (5, 6, 7))[layout], copy=False)
+        U = RNG.standard_normal((3, X.shape[mode]))
+        got = mode_product(X, U, mode)
+        want = mode_product(X, U.astype(np.complex128), mode)
+        assert got.shape == want.shape
+        assert rel_err(got.data, want.data) < 1e-12
 
     def test_vector_mode_product(self):
         v = random_tensor(RNG, (4,))
