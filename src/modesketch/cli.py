@@ -23,8 +23,8 @@ from pathlib import Path
 from . import tensorfile
 from .cpfit import SynthSpec, cp_als, synthesize
 from .diagnostics import coherence
-from .harness import (ls_experiment, norm_experiment, summarize, write_records_csv,
-                      write_replay_csv)
+from .harness import (_grid, ls_experiment, norm_experiment, summarize,
+                      write_records_csv, write_replay_csv)
 from .sketch import make_plan, sketch_modewise
 from .tensor import DenseTensor, norm
 
@@ -156,6 +156,7 @@ def _cmd_norm_exp(args, invocation: str) -> int:
 
 def _cmd_ls_exp(args, invocation: str) -> int:
     X, model = _load_data(args)
+    _grid(X.shape, args.cs, args.trials, args.seed)  # fail before any fit
     if model is None:
         if args.rank is None:
             raise ValueError("--rank is required when the input has no synthesis "

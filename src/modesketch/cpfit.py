@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .diagnostics import CpModel, draw_unit_factors
-from .embeddings import derive_seed, make_rng
+from .embeddings import IdentityEmbedding, derive_seed, make_rng
 from .sketch import SketchPlan, make_plan, sketch_modewise
 from .tensor import DenseTensor, _check_axis, khatri_rao_design, norm, unfold, vectorize
 
@@ -287,9 +287,12 @@ def cp_als(
 
     Every sweep draws ``make_plan(X.shape, compression, variant)`` from a
     seed derived from ``seed`` and sketches each subproblem modewise over
-    the fixed modes.  ``compression`` is a ratio or per-mode target dims;
-    ``None`` gives the identity plan, which is the exact problem.  Sketched
-    sweeps trade monotonicity of the objective for speed.
+    the fixed modes: :func:`sketch_modewise` on the plan with the updated
+    mode's map replaced by the identity, so the fixed modes are applied in
+    the sketch's cost order, not in the update order.  ``compression`` is
+    a ratio or per-mode target dims; ``None`` gives the identity plan,
+    which is the exact problem.  Sketched sweeps trade monotonicity of the
+    objective for speed.
     """
     if rank < 1:
         raise ValueError("rank must be at least 1")
@@ -316,13 +319,12 @@ def cp_als(
         plan = make_plan(X.shape, compression, variant,
                          seed=derive_seed(seed, _SWEEP_STREAM, sweep + 1))
         for j in range(d):
-            target = X
-            others = []
-            for ell, e in enumerate(plan.mode_embeddings):
-                if ell != j:
-                    target = e.apply_to_mode(target, ell)
-                    others.append(e.apply(factors[ell]))
+            maps = list(plan.mode_embeddings)
+            maps[j] = IdentityEmbedding(X.shape[j])
+            target = sketch_modewise(replace(plan, mode_embeddings=tuple(maps)), X)
+            others = [e.apply(f) for ell, (e, f) in enumerate(zip(maps, factors)) if ell != j]
             W = _als_mode_update(unfold(target, j), others)
+            del target  # not held through the next mode's sketch
             norms = np.linalg.norm(W, axis=0)
             safe = np.where(norms > 0.0, norms, 1.0)
             factors[j] = W / safe

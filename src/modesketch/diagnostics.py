@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .embeddings import make_rng
-from .tensor import DenseTensor, outer_product
+from .tensor import DenseTensor, norm, outer_product
 
 __all__ = [
     "CpModel",
@@ -170,7 +170,7 @@ def coefficient_norm_bound(model: CpModel) -> CoefficientNormBound:
     mu_prime = coherence(model).basis_coherence
     r = model.rank
 
-    dense_norm_sq = float(np.linalg.norm(model.to_tensor().data.ravel()) ** 2)
+    dense_norm_sq = norm(model.to_tensor()) ** 2
     if dense_norm_sq == 0.0:
         raise ValueError("model expands to the zero tensor; the ratio is undefined")
     ratio = float(np.linalg.norm(model.weights) ** 2) / dense_norm_sq

@@ -146,26 +146,29 @@ def _contract(U: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
     """``U`` applied to every fiber of the complex array ``data`` along
     ``axis``; the result has ``U``'s row count in place of that extent.
 
-    A real ``U`` meets the ``(re, im)`` float view of ``data`` in one real
-    GEMM, half the work of promoting ``U`` to complex.  The view is taken
-    only where it needs no copy, which is along any axis but the contiguous
-    one: with the last axis contiguous directly, with the first axis
-    contiguous (an F-ordered array) through the transpose.  Everywhere else
-    ``U`` is promoted and the product is complex.
+    A C-contiguous array is viewed as ``(lead, n, trail)`` and contracted by
+    one ``np.matmul`` with no transposing copy: ``U`` times each of the
+    ``lead`` blocks of ``n x trail`` (a single GEMM when ``lead`` is 1), or
+    ``data @ U.T`` when ``trail`` is 1.  A real ``U`` meets the ``(re, im)``
+    float view of the data in a real GEMM, half the work of promoting it to
+    complex, unless the contracted axis is the contiguous one of several
+    fibers; a vector keeps the view, so a large map is never promoted for
+    it.  An F-contiguous array is contracted through its transpose, and any
+    other layout is first copied to C order.  The result is C-contiguous,
+    or F-contiguous for F-contiguous input.
     """
-    def packed(ax: int) -> bool:
-        return data.shape[ax] == 1 or data.strides[ax] == data.itemsize
-
-    last = data.ndim - 1
-    if not np.iscomplexobj(U) and data.ndim > 1:
-        if axis != last and packed(last):
-            out = np.tensordot(U.astype(np.float64, copy=False), data.view(np.float64),
-                               axes=([1], [axis]))
-            return np.moveaxis(out.view(np.complex128), 0, axis)
-        if axis != 0 and packed(0):
-            return _contract(U, data.T, last - axis).T
-    out = np.tensordot(U.astype(np.complex128, copy=False), data, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+    if not data.flags.c_contiguous:
+        if data.flags.f_contiguous:
+            return _contract(U, data.T, data.ndim - 1 - axis).T
+        data = np.ascontiguousarray(data)
+    shape = data.shape
+    lead, n, trail = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
+    out_shape = shape[:axis] + (U.shape[0],) + shape[axis + 1:]
+    if not np.iscomplexobj(U) and (trail > 1 or lead == 1):
+        U, data, trail = U.astype(np.float64, copy=False), data.view(np.float64), 2 * trail
+    elif trail == 1:
+        return (data.reshape(lead, n) @ U.astype(np.complex128, copy=False).T).reshape(out_shape)
+    return np.matmul(U, data.reshape(lead, n, trail)).view(np.complex128).reshape(out_shape)
 
 
 def multi_mode_product(X: DenseTensor, maps: Iterable[tuple[int, np.ndarray]]) -> DenseTensor:
@@ -210,8 +213,14 @@ def inner(X: DenseTensor, Y: DenseTensor) -> complex:
 
 
 def norm(X: DenseTensor) -> float:
-    """Euclidean norm, the square root of ``inner(X, X)``."""
-    return float(np.linalg.norm(X.data.ravel()))
+    """Euclidean norm, the square root of ``inner(X, X)``.
+
+    One pass of a real dot product over the ``(re, im)`` float view of the
+    data, in memory order.  ``np.vdot`` is not used: it turns an infinite
+    entry into ``nan``.
+    """
+    flat = X.data.ravel(order="K").view(np.float64)
+    return math.sqrt(flat @ flat)
 
 
 def khatri_rao(A, B) -> np.ndarray:

@@ -315,6 +315,27 @@ class TestLsExp:
                      "--out", str(tmp_path / "x.csv")]) == 1  # no --rank
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--cs", "1.5", "--trials", "2"], "compression ratio must lie in (0, 1], got 1.5"),
+        (["--cs", "0.5", "--trials", "0"], "need at least one trial"),
+    ])
+    def test_bad_grid_fails_before_fitting(self, tmp_path, capsys, monkeypatch,
+                                           flags, message):
+        src = tmp_path / "d.dten"
+        main(["gen", "--shape", "8,8,8", "--rank", "2", "--seed", "2",
+              "--out", str(src)])
+        sidecar_path(src).unlink()
+        capsys.readouterr()
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("cp_als ran before the grid was checked")
+
+        monkeypatch.setattr("modesketch.cli.cp_als", no_fit)
+        assert main(["ls-exp", "--input", str(src), "--rank", "2", *flags,
+                     "--out", str(tmp_path / "l.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "l.csv").exists()
+
     def test_rank_must_match_sidecar(self, tmp_path, capsys):
         src = tmp_path / "d.dten"
         main(["gen", "--shape", "8,8,8", "--rank", "3", "--seed", "2",

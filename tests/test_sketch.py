@@ -2,6 +2,9 @@
 vector reshaping, descriptors, and norm-preservation statistics."""
 
 import dataclasses
+import itertools
+import math
+import types
 
 import numpy as np
 import pytest
@@ -30,8 +33,9 @@ from modesketch import (
     vectorize,
 )
 from modesketch.embeddings import GaussianEmbedding, IdentityEmbedding
+from modesketch.sketch import _cost_order
 
-from helpers import random_tensor, rel_err
+from helpers import layouts, random_tensor, rel_err
 
 RNG = np.random.default_rng(55351)
 
@@ -199,6 +203,80 @@ class TestSketchModewise:
                     for t in range(60)]
             medians.append(np.median(vals))
         assert all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))
+
+
+class TestCostOrder:
+    def test_most_compressive_mode_first(self):
+        plan = make_plan((2048, 64, 64), 0.1, "fjlt", seed=1)
+        assert plan.targets == (205, 7, 7)
+        assert _cost_order(plan.mode_embeddings) == [1, 2, 0]
+
+    def test_key_is_not_the_target_alone(self):
+        # 1/m - 1/n puts mode 1 (40 -> 4) before mode 0 (4 -> 3)
+        plan = make_plan((4, 40), (3, 4), "gaussian", seed=1)
+        assert _cost_order(plan.mode_embeddings) == [1, 0]
+
+    def test_order_minimizes_chain_cost(self):
+        def cost(dims, order):
+            size, total = math.prod(n for _, n in dims), 0
+            for mode in order:
+                m, n = dims[mode]
+                total += m * size
+                size = size // n * m
+            return total
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            ns = rng.integers(1, 60, size=rng.integers(1, 5))
+            dims = [(int(rng.integers(1, n + 1)), int(n)) for n in ns]
+            embeddings = [types.SimpleNamespace(m=m, n=n) for m, n in dims]
+            best = min(cost(dims, p) for p in itertools.permutations(range(len(dims))))
+            assert cost(dims, _cost_order(embeddings)) == best
+
+    def test_uniform_shape_stays_ascending(self):
+        plan = make_plan((10, 10, 10, 10), 0.3, "gaussian", seed=2)
+        assert _cost_order(plan.mode_embeddings) == [0, 1, 2, 3]
+
+    def test_identity_and_oversampling_modes_go_last(self):
+        plan = make_plan((5, 6, 7, 4), (None, 3, None, 8), "gaussian", seed=3)
+        assert _cost_order(plan.mode_embeddings) == [1, 0, 2, 3]
+        X = random_tensor(RNG, plan.shape)
+        got = vectorize(sketch_modewise(plan, X))
+        assert rel_err(got, dense_operator(plan) @ vectorize(X)) < 1e-10
+
+    def test_sketch_modewise_applies_modes_in_cost_order(self):
+        applied = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Recording:
+            inner: object
+
+            @property
+            def m(self):
+                return self.inner.m
+
+            @property
+            def n(self):
+                return self.inner.n
+
+            def apply_to_mode(self, X, mode):
+                applied.append(mode)
+                return self.inner.apply_to_mode(X, mode)
+
+        plan = make_plan((40, 8, 6), (20, 2, 3), "gaussian", seed=4)
+        spied = dataclasses.replace(
+            plan, mode_embeddings=tuple(Recording(e) for e in plan.mode_embeddings))
+        sketch_modewise(spied, random_tensor(RNG, plan.shape))
+        assert applied == _cost_order(plan.mode_embeddings) == [1, 2, 0]
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
+    @pytest.mark.parametrize("shape", [(40, 8, 6), (6, 40, 8)])
+    def test_non_uniform_shapes_match_dense_operator(self, shape, variant, layout):
+        X = DenseTensor(layouts(RNG, shape)[layout], copy=False)
+        plan = make_plan(shape, 0.3, variant, seed=5)
+        got = vectorize(sketch_modewise(plan, X))
+        assert rel_err(got, dense_operator(plan) @ vectorize(X)) < 1e-10
 
 
 class TestSketchFull:

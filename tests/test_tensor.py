@@ -1,5 +1,8 @@
 """Tensor algebra: unfoldings, mode products, vectorization, Khatri-Rao."""
 
+import string
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from modesketch import (
     unfold,
     vectorize,
 )
-from modesketch.tensor import khatri_rao_design
+from modesketch.tensor import _contract, khatri_rao_design
 
 from helpers import layouts, random_matrix, random_tensor, rel_err
 
@@ -177,6 +180,53 @@ class TestModeProduct:
         assert rel_err(got.data, U @ v.data) < 1e-14
 
 
+def einsum_contract(U, data, axis):
+    """Independent oracle: the promoted matrix contracted by ``einsum``."""
+    idx = string.ascii_lowercase[:data.ndim]
+    out = idx[:axis] + "z" + idx[axis + 1:]
+    return np.einsum(f"z{idx[axis]},{idx}->{out}", U.astype(np.complex128), data)
+
+
+class TestContract:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 4, 5), (2, 3, 4, 5)])
+    def test_every_axis_matches_einsum(self, shape, layout, kind):
+        data = layouts(RNG, shape)[layout]
+        for axis in range(len(shape)):
+            U = random_matrix(RNG, 3, shape[axis], complex_entries=kind == "complex")
+            got = _contract(U, data, axis)
+            assert got.shape == shape[:axis] + (3,) + shape[axis + 1:]
+            assert rel_err(got, einsum_contract(U, data, axis)) < 1e-12
+            order = "f_contiguous" if layout == "F" else "c_contiguous"
+            assert getattr(got.flags, order)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_middle_axis_makes_no_transposing_copy(self, kind):
+        data = layouts(RNG, (64, 64, 64))["C"]
+        U = random_matrix(RNG, 8, 64, complex_entries=kind == "complex")
+        tracemalloc.start()
+        try:
+            _contract(U, data, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 2
+
+    @pytest.mark.parametrize("shape", [(4000,), (4000, 1)])
+    def test_real_matrix_on_a_vector_is_not_promoted(self, shape):
+        data = layouts(RNG, shape)["C"]
+        U = RNG.standard_normal((300, 4000))
+        tracemalloc.start()
+        try:
+            got = _contract(U, data, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < U.nbytes / 2
+        assert rel_err(got, einsum_contract(U, data, 0)) < 1e-12
+
+
 class TestMultiModeProduct:
     def test_all_identities(self):
         X = random_tensor(RNG, (2, 3, 4))
@@ -273,6 +323,20 @@ class TestInnerNorm:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             inner(random_tensor(RNG, (2, 2)), random_tensor(RNG, (4,)))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_norm_matches_numpy_in_every_layout(self, layout):
+        data = layouts(RNG, (7, 5, 6))[layout]
+        want = np.linalg.norm(data.ravel())
+        assert abs(norm(DenseTensor(data, copy=False)) - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("bad, want", [(complex(np.inf, 0), np.inf),
+                                           (complex(0, -np.inf), np.inf),
+                                           (complex(np.nan, 1), np.nan)])
+    def test_norm_of_non_finite_tensor(self, bad, want):
+        data = np.ones((3, 4), dtype=np.complex128)
+        data[1, 2] = bad
+        np.testing.assert_equal(norm(DenseTensor(data, copy=False)), want)
 
 
 class TestKhatriRao:

@@ -1,0 +1,86 @@
+"""Run a fixed corpus of modesketch CLI calls and keep everything they write.
+
+    python3 tools/cli_corpus.py OUTDIR
+
+Every call runs in-process with OUTDIR as the working directory, so the
+files it writes and the paths it prints are relative.  Call ``NN`` leaves
+``NN.log``: the command line, standard output, standard error and the exit
+status.  The corpus covers every subcommand, every second stage, synthetic
+and file input, and non-uniform shapes.  Two runs of the same source tree
+must give byte-identical directories (``diff -r``); two trees can be
+compared file by file to list the outputs a change moved.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from modesketch.cli import main  # noqa: E402
+
+CALLS = [
+    "gen --shape 20,20,20 --rank 4 --seed 1 --out cube.dten",
+    "gen --shape 40,12,8 --rank 3 --kind coherent --sigma 0.3 --seed 2 --out wide.dten",
+    "gen --shape 6,30,10 --rank 2 --seed 3 --out mid.dten",
+    "info --input cube.dten",
+    "info --input wide.dten",
+    "sketch --input cube.dten --cs 0.3 --variant fjlt --seed 4 --out cube.fjlt.dten",
+    "sketch --input cube.dten --cs 0.3 --variant gaussian --seed 4 --out cube.gauss.dten",
+    "sketch --input wide.dten --cs 0.5 --variant fjlt --seed 6 --out wide.fjlt.dten",
+    "sketch --input wide.dten --targets 10,3,2 --variant gaussian --out wide.gauss.dten",
+    "sketch --input mid.dten --cs 0.4 --variant fjlt --seed 7 --out mid.fjlt.dten",
+    "sketch --input mid.dten --targets 6,30,10 --variant identity --out mid.id.dten",
+    *(f"norm-exp --input cube.dten --cs 0.2,0.5 --trials 3 --seed 5 --variant {v}{s} "
+      f"--out norm.{v}{i}.csv"
+      for v in ("gaussian", "fjlt")
+      for i, s in enumerate(("", " --second-stage 40:gaussian",
+                             " --second-stage 40:fjlt", " --second-stage identity"))),
+    "norm-exp --input wide.dten --cs 0.2,0.5 --trials 3 --seed 5 --variant fjlt "
+    "--second-stage 30:fjlt --out norm.wide.csv",
+    "norm-exp --input mid.dten --cs 0.3 --trials 3 --seed 5 --variant gaussian "
+    "--second-stage identity --out norm.mid.csv",
+    "norm-exp --shape 10,10,10 --rank 2 --kind coherent --sigma 0.5 --gen-seed 3 --cs 0.4 "
+    "--trials 3 --seed 5 --out norm.inline.csv",
+    "ls-exp --input cube.dten --cs 0.3,0.6 --trials 3 --variant gaussian --out ls.gauss.csv",
+    "ls-exp --input cube.dten --cs 0.3,0.6 --trials 3 --variant fjlt --out ls.fjlt.csv",
+    "ls-exp --input wide.dten --cs 0.5 --trials 3 --variant fjlt --seed 2 --out ls.wide.csv",
+    "ls-exp --shape 12,12,12 --rank 3 --gen-seed 6 --cs 0.4 --trials 2 --out ls.inline.csv",
+    "ls-exp --input cube.fjlt.dten --rank 2 --iters 10 --cs 0.5 --trials 2 --out ls.fit.csv",
+    "ls-exp --input cube.fjlt.dten --rank 2 --cs 1.5 --trials 2 --out ls.bad.csv",
+    "cpals --input cube.dten --rank 4 --iters 20 --out-prefix fit.exact",
+    "cpals --input cube.dten --rank 4 --iters 10 --cs 0.5 --variant fjlt --out-prefix fit.fjlt",
+    "cpals --input wide.dten --rank 3 --iters 10 --cs 0.5 --variant gaussian "
+    "--out-prefix fit.wide",
+    "cpals --input mid.dten --rank 2 --iters 15 --tol 0 --seed 9 --out-prefix fit.mid",
+]
+
+
+def run_call(number: int, line: str) -> None:
+    argv = line.split()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            status = exc.code
+    log = (f"$ modesketch {' '.join(argv)}\n{out.getvalue()}--- stderr\n"
+           f"{err.getvalue()}--- exit {status}\n")
+    Path(f"{number:02d}.log").write_text(log, encoding="utf-8", newline="\n")
+
+
+def run(outdir: Path) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    if any(outdir.iterdir()):
+        sys.exit(f"{outdir} is not empty")
+    os.chdir(outdir)
+    for number, line in enumerate(CALLS, start=1):
+        run_call(number, line)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    run(Path(sys.argv[1]).resolve())
