@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import tensorfile
@@ -31,18 +32,18 @@ from .tensor import DenseTensor, norm
 __all__ = ["main", "entry_point"]
 
 
-def _ints_csv(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _csv_of(convert, what: str):
+    """An argparse type reading comma-separated values with ``convert``."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(tok) for tok in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+    return parse
 
 
-def _floats_csv(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_ints_csv = _csv_of(int, "integers")
+_floats_csv = _csv_of(float, "numbers")
 
 
 def _nonneg_int(text: str) -> int:
@@ -63,22 +64,24 @@ def _second_stage(text: str):
             f"expected M:VARIANT or 'identity', got {text!r}")
 
 
-def _synth_spec(shape, rank, kind, sigma, seed) -> SynthSpec:
-    if shape is None or rank is None:
-        raise ValueError("either --input or both --shape and --rank are required")
-    return SynthSpec(tuple(shape), rank, kind, sigma, seed)
-
-
-def _load_sidecar(path):
-    """Return (descriptor-or-None, model-or-None) for a DTEN file; the model
-    is rebuilt only from a synthesis sidecar written by ``gen``."""
-    if not tensorfile.sidecar_path(path).exists():
+def _load_sidecar(path, shape):
+    """(descriptor-or-None, model-or-None) for a DTEN file of ``shape``; the
+    model is rebuilt only from a synthesis sidecar, which must describe it."""
+    meta_path = tensorfile.sidecar_path(path)
+    if not meta_path.exists():
         return None, None
-    meta = tensorfile.read_sidecar(path)
-    if meta.get("format") != "modesketch-synth":
-        return meta, None
-    spec = SynthSpec(tuple(meta["shape"]), meta["rank"], meta["kind"],
-                     meta["sigma"], meta["seed"])
+    try:
+        meta = tensorfile.read_sidecar(path)
+        if not isinstance(meta, dict):
+            raise ValueError(f"expected a JSON object, got {type(meta).__name__}")
+        if meta.get("format") != "modesketch-synth":
+            return meta, None
+        spec = SynthSpec(**{f.name: meta[f.name] for f in fields(SynthSpec)})
+        if spec.shape != shape:
+            raise ValueError(f"describes shape {spec.shape}, but the file holds {shape}")
+    except (KeyError, TypeError, ValueError) as exc:
+        problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{meta_path}: {problem}") from None
     return meta, spec.model()
 
 
@@ -94,25 +97,19 @@ def _load_data(args, synth_flags=_SYNTH_FLAGS):
                 raise ValueError(f"--{name.replace('_', '-')} describes synthetic data "
                                  "and cannot be combined with --input")
         X = tensorfile.read_tensor(args.input)
-        return X, _load_sidecar(args.input)[1]
-    spec = _synth_spec(args.shape, args.rank, args.kind or "gaussian", args.sigma,
-                       args.gen_seed or 0)
-    model, X = synthesize(spec)
+        return X, _load_sidecar(args.input, X.shape)[1]
+    if args.shape is None or args.rank is None:
+        raise ValueError("either --input or both --shape and --rank are required")
+    model, X = synthesize(SynthSpec(args.shape, args.rank, args.kind or "gaussian",
+                                    args.sigma, args.gen_seed or 0))
     return X, model
 
 
 def _cmd_gen(args, invocation: str) -> int:
-    spec = _synth_spec(args.shape, args.rank, args.kind, args.sigma, args.seed)
+    spec = SynthSpec(args.shape, args.rank, args.kind, args.sigma, args.seed)
     _, X = synthesize(spec)
     tensorfile.write_tensor(args.out, X)
-    tensorfile.write_sidecar(args.out, {
-        "format": "modesketch-synth",
-        "shape": list(spec.shape),
-        "rank": spec.rank,
-        "kind": spec.kind,
-        "sigma": spec.sigma,
-        "seed": spec.seed,
-    })
+    tensorfile.write_sidecar(args.out, {"format": "modesketch-synth", **asdict(spec)})
     print(f"wrote {args.out} shape={'x'.join(map(str, X.shape))} "
           f"rank={spec.rank} kind={spec.kind} seed={spec.seed}")
     return 0
@@ -120,11 +117,11 @@ def _cmd_gen(args, invocation: str) -> int:
 
 def _cmd_info(args, invocation: str) -> int:
     X = tensorfile.read_tensor(args.input)
+    meta, model = _load_sidecar(args.input, X.shape)
     print(f"tensor_shape={','.join(map(str, X.shape))}")
     print(f"tensor_modes={X.ndim}")
     print(f"tensor_entries={X.size}")
     print(f"tensor_norm={norm(X)!r}")
-    meta, model = _load_sidecar(args.input)
     if meta is not None:
         for key in ("rank", "kind", "sigma", "seed"):
             print(f"synth_{key}={meta.get(key)}")
@@ -147,11 +144,7 @@ def _cmd_norm_exp(args, invocation: str) -> int:
     X, _ = _load_data(args, _SYNTH_FLAGS + ("rank",))
     records = norm_experiment(X, args.cs, args.trials, args.variant,
                               args.seed, args.second_stage)
-    write_records_csv(args.out, invocation, records, timing=args.timing)
-    for line in summarize(records):
-        print(line)
-    print(f"wrote {args.out} rows={len(records)}")
-    return 0
+    return _write_records(args, invocation, records)
 
 
 def _cmd_ls_exp(args, invocation: str) -> int:
@@ -161,13 +154,21 @@ def _cmd_ls_exp(args, invocation: str) -> int:
         if args.rank is None:
             raise ValueError("--rank is required when the input has no synthesis "
                              "sidecar (a CP basis must be fitted first)")
-        model, _ = cp_als(X, args.rank, max_iters=args.iters, tol=args.tol,
-                          seed=args.seed)
+        model, _ = cp_als(X, args.rank, max_iters=50 if args.iters is None else args.iters,
+                          tol=1e-6 if args.tol is None else args.tol, seed=args.seed)
     elif args.rank not in (None, model.rank):
         raise ValueError(f"--rank {args.rank} does not match the rank {model.rank} "
                          "of the input's synthesis sidecar")
+    elif args.iters is not None or args.tol is not None:
+        raise ValueError("--iters and --tol apply only when a basis is fitted, but the "
+                         "synthesis model supplies the basis")
     records = ls_experiment(X, model.factors, args.cs, args.trials,
                             args.variant, args.seed)
+    return _write_records(args, invocation, records)
+
+
+def _write_records(args, invocation: str, records) -> int:
+    """The sweep commands' tail: the CSV, the summary and the "wrote" line."""
     write_records_csv(args.out, invocation, records, timing=args.timing)
     for line in summarize(records):
         print(line)
@@ -247,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ls-exp", parents=[sweep],
                        help="compressed coefficient-recovery sweep")
-    p.add_argument("--iters", type=int, default=50,
-                   help="ALS sweeps when a basis must be fitted")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--iters", type=int, default=None,
+                   help="ALS sweeps when a basis must be fitted (default 50)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="ALS tolerance when a basis must be fitted (default 1e-6)")
     p.set_defaults(func=_cmd_ls_exp)
 
     p = sub.add_parser("cpals", help="fit a CP model by alternating least squares")

@@ -22,8 +22,9 @@ import numpy as np
 
 from .diagnostics import CpModel, draw_unit_factors
 from .embeddings import IdentityEmbedding, derive_seed, make_rng
-from .sketch import SketchPlan, make_plan, sketch_modewise
-from .tensor import DenseTensor, _check_axis, khatri_rao_design, norm, unfold, vectorize
+from .sketch import SketchPlan, _integer, make_plan, sketch_modewise
+from .tensor import (DenseTensor, _check_axis, _contract, khatri_rao_design, norm, unfold,
+                     vectorize)
 
 __all__ = [
     "DegenerateBasisError",
@@ -66,8 +67,9 @@ class SynthSpec:
 
     ``kind`` is ``"gaussian"`` (i.i.d. standard normal factor entries) or
     ``"coherent"`` (entries ``1 + sigma * g``, giving factor vectors that
-    cluster around the constant direction).  Factors are unit-normalized
-    after generation and all weights are 1.
+    cluster around the constant direction); ``sigma`` is given for coherent
+    data only.  Factors are unit-normalized after generation and all weights
+    are 1.
     """
 
     shape: tuple[int, ...]
@@ -77,21 +79,21 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        if len(self.shape) == 0 or min(self.shape) < 1:
-            raise ValueError(f"invalid shape {self.shape}")
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+        if len(self.shape) == 0:
+            raise ValueError("synthetic data needs at least one mode")
+        object.__setattr__(self, "shape", tuple(_integer(n, "every extent") for n in self.shape))
+        _integer(self.rank, "rank")
+        _integer(self.seed, "seed", low=0)
         if self.kind not in ("gaussian", "coherent"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "coherent":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("coherent data needs sigma > 0")
+        if self.kind == "coherent" and not 0 < (self.sigma or 0) < math.inf:
+            raise ValueError(f"coherent data needs a finite sigma > 0, got {self.sigma!r}")
+        if self.kind == "gaussian" and self.sigma is not None:
+            raise ValueError("sigma applies only to coherent data, not to kind 'gaussian'")
 
     def model(self) -> CpModel:
         """Draw the random exact-rank model without expanding it."""
-        sigma = self.sigma if self.kind == "coherent" else None
-        factors = draw_unit_factors(self.shape, self.rank, make_rng(self.seed), sigma)
+        factors = draw_unit_factors(self.shape, self.rank, make_rng(self.seed), self.sigma)
         return CpModel(np.ones(self.rank), factors)
 
 
@@ -157,7 +159,10 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan
     if plan.second_stage is not None:
         x_p = plan.second_stage.apply(x_p)
         design = plan.second_stage.apply(design)
-    coeffs, cond = _solve_ls(design.conj().T @ design, design.conj().T @ x_p, design, x_p)
+    design_h = design.conj().T
+    gram, projected = design_h @ design, design_h @ x_p
+    del design_h  # a copy as large as the design: not held through the solve
+    coeffs, cond = _solve_ls(gram, projected, design, x_p)
     residual = float(np.linalg.norm(x_p - design @ coeffs))
     ratio = None if reference is None else relative_coefficient_norm(coeffs, reference)
     return LsSolution(coeffs, residual, cond, ratio)
@@ -178,12 +183,6 @@ def compressed_ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
     return _sketched_ls(X, factors, plan, reference)
 
 
-def _slice_tensor(X: DenseTensor, mode: int, index: int) -> DenseTensor:
-    row = unfold(X, mode)[index]
-    rest = X.shape[:mode] + X.shape[mode + 1 :]
-    return DenseTensor(row.reshape(rest, order="F"), copy=False)
-
-
 def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
                        index: int, plan: Optional[SketchPlan] = None) -> np.ndarray:
     """Solve one slice of the decoupled mode update.
@@ -200,7 +199,7 @@ def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
     if not 0 <= index < X.shape[mode]:
         raise IndexError(f"slice {index} out of range for mode {mode} "
                          f"of extent {X.shape[mode]}")
-    slice_t = _slice_tensor(X, mode, index)
+    slice_t = DenseTensor(np.take(X.data, index, axis=mode), copy=False)
     reduced_factors = [f for ell, f in enumerate(factors) if ell != mode]
     return _sketched_ls(slice_t, reduced_factors, plan or make_plan(slice_t.shape),
                         None).coefficients
@@ -253,7 +252,7 @@ def _gram_error(X: DenseTensor, norm_x: float, weights: np.ndarray,
     data = X.data
     if data.flags.f_contiguous and not data.flags.c_contiguous:
         data, factors = data.T, factors[::-1]
-    t = np.tensordot(data, factors[-1].conj(), axes=([data.ndim - 1], [0]))
+    t = _contract(factors[-1].conj().T, data, data.ndim - 1)
     for f in reversed(factors[:-1]):
         t = np.einsum("...ir,ir->...r", t, f.conj())
     cross = float(np.real(np.vdot(weights, t)))

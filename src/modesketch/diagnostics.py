@@ -72,10 +72,9 @@ class CpModel:
             acc += self.weights[k] * outer_product([f[:, k] for f in self.factors]).data
         return DenseTensor(acc, copy=False)
 
-    def is_standard_form(self, tol: float = STANDARD_FORM_TOL) -> bool:
-        return all(
-            np.all(np.abs(np.linalg.norm(f, axis=0) - 1.0) <= tol) for f in self.factors
-        )
+    def is_standard_form(self) -> bool:
+        return all(np.all(np.abs(np.linalg.norm(f, axis=0) - 1.0) <= STANDARD_FORM_TOL)
+                   for f in self.factors)
 
 
 def normalize(model: CpModel) -> CpModel:

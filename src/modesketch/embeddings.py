@@ -88,8 +88,7 @@ class GaussianEmbedding:
         """Multiply a vector (or the columns of a matrix) by the map."""
         x = np.asarray(x, dtype=np.complex128)
         _check_axis(x.shape, 0, self.n)
-        out = _contract(self.matrix, x.reshape(self.n, -1), 0)
-        return out.reshape((self.m,) + x.shape[1:])
+        return _contract(self.matrix, x, 0)
 
     def apply_to_mode(self, X: DenseTensor, mode: int) -> DenseTensor:
         return mode_product(X, self.matrix, mode)
@@ -168,7 +167,7 @@ class FJLTEmbedding:
         x = np.asarray(x, dtype=np.complex128)
         _check_axis(x.shape, 0, self.n)
         if self._use_gemm(x, 0):
-            return np.tensordot(self._matrix(), x, axes=1)
+            return _contract(self._matrix(), x, 0)
         return self._transform(x, 0)
 
     def apply_to_mode(self, X: DenseTensor, mode: int) -> DenseTensor:

@@ -50,10 +50,10 @@ def targets_from_ratio(shape: Sequence[int], ratio: float) -> tuple[int, ...]:
     return tuple(math.ceil(ratio * n) for n in shape)
 
 
-def _target_dim(value, what: str) -> int:
-    """A target dim given as a positive ``int`` or numpy integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{what} must be a positive integer or None, got {value!r}")
+def _integer(value, what: str, low: int = 1) -> int:
+    """``value``, an ``int`` or numpy integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{what} must be an integer of at least {low}, got {value!r}")
     return int(value)
 
 
@@ -167,7 +167,7 @@ def make_plan(
         if t is None:
             embeddings.append(_draw("identity", n, n, seed))
             continue
-        m = _target_dim(t, f"target dim for mode {mode}")
+        m = _integer(t, f"target dim for mode {mode}")
         embeddings.append(_draw(variant, m, n, seed, _MODE_STREAM, mode))
 
     stage2: Optional[Embedding] = None
@@ -178,7 +178,7 @@ def make_plan(
             if stage_variant != "identity":
                 raise ValueError("second-stage target dim is required unless identity")
             m_prime = source
-        m_prime = _target_dim(m_prime, "second-stage target dim")
+        m_prime = _integer(m_prime, "second-stage target dim")
         stage2 = _draw(stage_variant, m_prime, source, seed, _STAGE2_STREAM)
 
     return SketchPlan(shape, tuple(embeddings), stage2, variant, int(seed))
@@ -197,11 +197,6 @@ def plan_from_descriptor(text: str) -> SketchPlan:
         m_prime, stage_variant = kv["second"].split(":")
         second = (int(m_prime), stage_variant)
     return make_plan(shape, targets, kv["variant"], second, int(kv["seed"]))
-
-
-def _check_plan_shape(plan: SketchPlan, X: DenseTensor) -> None:
-    if X.shape != plan.shape:
-        raise ValueError(f"tensor shape {X.shape} does not match plan shape {plan.shape}")
 
 
 def _cost_order(embeddings: Sequence[Embedding]) -> list[int]:
@@ -224,7 +219,8 @@ def sketch_modewise(plan: SketchPlan, X: DenseTensor) -> DenseTensor:
     Mode products commute, so the order (:func:`_cost_order`) changes only
     the cost and the rounding, never the operator.
     """
-    _check_plan_shape(plan, X)
+    if X.shape != plan.shape:
+        raise ValueError(f"tensor shape {X.shape} does not match plan shape {plan.shape}")
     out = X
     for mode in _cost_order(plan.mode_embeddings):
         out = plan.mode_embeddings[mode].apply_to_mode(out, mode)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Union
@@ -37,26 +38,27 @@ def write_tensor(path: Union[str, Path], X: DenseTensor) -> None:
 
 
 def read_tensor(path: Union[str, Path]) -> DenseTensor:
-    raw = Path(path).read_bytes()
-    if len(raw) < 7 or raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a DTEN file")
-    version, kind, d = raw[4], raw[5], raw[6]
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported DTEN version {version}")
-    if kind not in (KIND_REAL, KIND_COMPLEX):
-        raise ValueError(f"{path}: unknown scalar kind {kind}")
-    if d < 1:
-        raise ValueError(f"{path}: tensor needs at least one mode")
-    header_end = 7 + 8 * d
-    if len(raw) < header_end:
-        raise ValueError(f"{path}: truncated DTEN header")
-    shape = struct.unpack(f"<{d}Q", raw[7:header_end])
-    count = math.prod(shape)
-    width = 8 if kind == KIND_REAL else 16
-    if len(raw) != header_end + count * width:
-        raise ValueError(f"{path}: payload size does not match shape {shape}")
-    dtype = "<f8" if kind == KIND_REAL else "<c16"
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=header_end)
+    """Read a DTEN file, checking its header against the file size first."""
+    with open(path, "rb") as fh:
+        head = fh.read(7)
+        if len(head) < 7 or head[:4] != MAGIC:
+            raise ValueError(f"{path}: not a DTEN file")
+        version, kind, d = head[4], head[5], head[6]
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported DTEN version {version}")
+        if kind not in (KIND_REAL, KIND_COMPLEX):
+            raise ValueError(f"{path}: unknown scalar kind {kind}")
+        if d < 1:
+            raise ValueError(f"{path}: tensor needs at least one mode")
+        extents = fh.read(8 * d)
+        if len(extents) < 8 * d:
+            raise ValueError(f"{path}: truncated DTEN header")
+        shape = struct.unpack(f"<{d}Q", extents)
+        count = math.prod(shape)
+        width = 8 if kind == KIND_REAL else 16
+        if os.fstat(fh.fileno()).st_size != 7 + 8 * d + count * width:
+            raise ValueError(f"{path}: payload size does not match shape {shape}")
+        flat = np.fromfile(fh, dtype="<f8" if kind == KIND_REAL else "<c16", count=count)
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: payload holds NaN or infinite values")
     return DenseTensor.from_flat(flat, shape)

@@ -1,13 +1,15 @@
 """DTEN file format and the command-line harness."""
 
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modesketch import CpModel, DenseTensor
+from modesketch import CpModel, DenseTensor, cp_als
 from modesketch.cli import main
 from modesketch.harness import norm_experiment
 from modesketch.tensorfile import read_sidecar, read_tensor, sidecar_path, write_tensor
@@ -81,6 +83,26 @@ class TestTensorFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "NaN or infinite" in err and err.count("\n") == 1
 
+    def test_oversized_header_rejected_before_payload_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.dten"
+        write_tensor(path, DenseTensor(np.ones((64, 64, 64))))
+        raw = bytearray(path.read_bytes())
+        raw[7:15] = struct.pack("<Q", 65)  # declares one slab more than it holds
+        path.write_bytes(bytes(raw))
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("payload read before the size check")
+
+        monkeypatch.setattr(np, "fromfile", no_read)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload size does not match"):
+                read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(raw) / 8
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_damaged_headers_raise_only_value_error(self, tmp_path_factory, data):
@@ -124,6 +146,14 @@ class TestGen:
         assert main(["gen", "--shape", "4,4", "--rank", "2", "--kind", "coherent",
                      "--out", str(tmp_path / "x.dten")]) == 1
 
+    def test_sigma_requires_coherent(self, tmp_path, capsys):
+        out = tmp_path / "x.dten"
+        assert main(["gen", "--shape", "4,4", "--rank", "2", "--sigma", "0.3",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "coherent" in err and err.count("\n") == 1
+        assert not out.exists() and not sidecar_path(out).exists()
+
 
 class TestInfo:
     def test_reports_generating_shape(self, tmp_path, capsys):
@@ -152,6 +182,27 @@ class TestInfo:
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["info", "--input", str(tmp_path / "nope.dten")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: [meta], "expected a JSON object, got list"),
+        (lambda meta: {k: v for k, v in meta.items() if k != "rank"}, "missing field 'rank'"),
+        (lambda meta: {**meta, "shape": [6, 5, 3]},
+         "describes shape (6, 5, 3), but the file holds (6, 5, 4)"),
+    ], ids=["list", "missing-field", "other-shape"])
+    @pytest.mark.parametrize("command", ["info", "ls-exp"])
+    def test_sidecar_must_describe_its_file(self, tmp_path, capsys, command, edit, message):
+        src = tmp_path / "d.dten"
+        assert main(["gen", "--shape", "6,5,4", "--rank", "2", "--seed", "1",
+                     "--out", str(src)]) == 0
+        sidecar_path(src).write_text(json.dumps(edit(read_sidecar(src))))
+        capsys.readouterr()
+        argv = [command, "--input", str(src)]
+        if command == "ls-exp":
+            argv += ["--cs", "0.5", "--trials", "2", "--out", str(tmp_path / "l.csv")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {sidecar_path(src)}: {message}\n"
 
 
 class TestSketchCommand:
@@ -253,6 +304,14 @@ class TestNormExp:
         with pytest.raises(ValueError, match=f"the data tensor has norm {bad}"):
             norm_experiment(DenseTensor(values), [0.5], 2)
 
+    def test_sigma_without_coherent_kind_rejected(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        assert main(["norm-exp", "--shape", "6,6", "--rank", "1", "--sigma", "0.2",
+                     "--cs", "0.5", "--trials", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "coherent" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_second_stage_flag(self, tmp_path):
         out = tmp_path / "n.csv"
         assert main(["norm-exp", "--shape", "8,8,8", "--rank", "2",
@@ -335,6 +394,37 @@ class TestLsExp:
                      "--out", str(tmp_path / "l.csv")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("flags, iters, tol", [([], 50, 1e-6),
+                                                   (["--iters", "7", "--tol", "0.5"], 7, 0.5)])
+    def test_fit_flags_apply_when_basis_is_fitted(self, tmp_path, monkeypatch, flags,
+                                                  iters, tol):
+        src = tmp_path / "d.dten"
+        main(["gen", "--shape", "8,8,8", "--rank", "2", "--seed", "2", "--out", str(src)])
+        sidecar_path(src).unlink()
+        seen = {}
+
+        def fit(X, rank, **kwargs):
+            seen.update(kwargs)
+            return cp_als(X, rank, **kwargs)
+
+        monkeypatch.setattr("modesketch.cli.cp_als", fit)
+        assert main(["ls-exp", "--input", str(src), "--rank", "2", "--cs", "0.5",
+                     "--trials", "2", *flags, "--out", str(tmp_path / "l.csv")]) == 0
+        assert seen["max_iters"] == iters and seen["tol"] == tol
+
+    @pytest.mark.parametrize("flags", [["--iters", "3"], ["--tol", "0.5"],
+                                       ["--iters", "3", "--tol", "0.5"]])
+    def test_fit_flags_rejected_when_sidecar_supplies_basis(self, tmp_path, capsys, flags):
+        src = tmp_path / "d.dten"
+        main(["gen", "--shape", "8,8,8", "--rank", "2", "--seed", "2", "--out", str(src)])
+        capsys.readouterr()
+        out = tmp_path / "l.csv"
+        assert main(["ls-exp", "--input", str(src), "--cs", "0.5", "--trials", "2",
+                     *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0] in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_rank_must_match_sidecar(self, tmp_path, capsys):
         src = tmp_path / "d.dten"

@@ -1,6 +1,8 @@
 """Synthetic data, exact and compressed least squares, decoupled slice
 solves, CP-ALS, and the relative-norm metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,27 @@ class TestSynthesize:
             SynthSpec((4, 4), 2, "uniform")
         with pytest.raises(ValueError):
             SynthSpec((), 2, "gaussian")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be an integer of at least 0"),
+        ({"rank": 2.5}, "rank must be an integer"),
+        ({"rank": True}, "rank must be an integer"),
+        ({"shape": (4, 2.0)}, "every extent must be an integer"),
+        ({"sigma": 0.3}, "applies only to coherent data"),
+        ({"kind": "coherent"}, "finite sigma > 0, got None"),
+        ({"kind": "coherent", "sigma": float("nan")}, "finite sigma > 0, got nan"),
+        ({"kind": "coherent", "sigma": float("inf")}, "finite sigma > 0, got inf"),
+        ({"kind": "coherent", "sigma": -0.5}, "finite sigma > 0, got -0.5"),
+    ])
+    def test_unusable_values_rejected(self, kwargs, message):
+        spec = {"shape": (4, 4), "rank": 2, "kind": "gaussian", "sigma": None, "seed": 0}
+        with pytest.raises(ValueError, match=message):
+            SynthSpec(**{**spec, **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        a = SynthSpec((np.int64(4), 5), np.int32(2), seed=np.uint8(3))
+        assert a == SynthSpec((4, 5), 2, seed=3) and type(a.shape[0]) is int
 
 
 class TestLsCoefficients:
@@ -270,6 +293,17 @@ class TestDecoupledSlices:
     def test_factor_update_rejects_zero_weight(self):
         with pytest.raises(ValueError):
             decoupled_factor_update(np.ones((2, 2)), np.array([1.0, 0.0]))
+
+    def test_slice_is_copied_without_unfolding(self):
+        model, X = synthesize(SynthSpec((64, 64, 64), 2, "gaussian", seed=28))
+        tracemalloc.start()
+        try:
+            got = decoupled_ls_slice(X, model.factors, 1, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.data.nbytes / 2
+        assert np.linalg.norm(got - model.weights * model.factors[1][5, :]) < 1e-8
 
     def test_index_errors(self):
         model, X = synthesize(SynthSpec((4, 5), 2, "gaussian", seed=27))

@@ -22,6 +22,14 @@ from helpers import layouts, random_tensor, rel_err
 RNG = np.random.default_rng(7141)
 
 
+def with_axes(columns, three_axis):
+    """Each layout with ``columns`` trailing extents (id: the layout) and
+    with ``three_axis`` ones (id: the layout plus ``-3axis``)."""
+    return [pytest.param(layout, rest, id=layout + suffix)
+            for rest, suffix in [(columns, ""), (three_axis, "-3axis")]
+            for layout in ("C", "F", "strided")]
+
+
 class TestSeeding:
     def test_same_seed_same_stream(self):
         a = make_rng(42).standard_normal(8)
@@ -72,13 +80,14 @@ class TestGaussian:
         with pytest.raises(ValueError):
             e.apply(np.ones(4))
 
-    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    def test_apply_to_columns_matches_promoted_product(self, layout):
+    @pytest.mark.parametrize("layout, rest", with_axes((9,), (3, 5)))
+    def test_apply_to_columns_matches_promoted_product(self, layout, rest):
         e = gaussian_embedding(6, 40, make_rng(4))
-        x = layouts(RNG, (40, 9))[layout]
+        x = layouts(RNG, (40,) + rest)[layout]
         got = e.apply(x)
-        assert got.shape == (6, 9)
-        assert rel_err(got, e.as_matrix() @ x) < 1e-12
+        assert got.shape == (6,) + rest
+        want = mode_product(DenseTensor(x), e.as_matrix(), 0).data
+        assert rel_err(got, want) < 1e-12
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_apply_to_vector_matches_promoted_product(self, step):
@@ -186,13 +195,16 @@ class TestFJLTGemmCrossover:
         assert got.shape == tuple(m if j == mode else n for j, n in enumerate(shape))
         assert rel_err(got.data, mode_product(X, e.as_matrix(), mode).data) < 1e-10
 
-    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("layout, rest", with_axes((272,), (16, 17)))
     @pytest.mark.parametrize("m", ROWS)
-    def test_apply_to_columns_matches_dense(self, m, layout):
-        x = layouts(RNG, (self.N, 272))[layout]
+    def test_apply_to_columns_matches_dense(self, m, layout, rest):
+        x = layouts(RNG, (self.N,) + rest)[layout]
         e = fjlt_embedding(m, self.N, make_rng(m))
         assert e._use_gemm(x, 0) == self.gemm_side(m, x, 0)
-        assert rel_err(e.apply(x), e.as_matrix() @ x) < 1e-10
+        got = e.apply(x)
+        assert got.shape == (m,) + rest
+        want = mode_product(DenseTensor(x), e.as_matrix(), 0).data
+        assert rel_err(got, want) < 1e-12
 
     def test_fewer_fibers_than_rows_use_the_fft(self):
         e = fjlt_embedding(8, self.N, make_rng(3))

@@ -6,9 +6,10 @@ Every call runs in-process with OUTDIR as the working directory, so the
 files it writes and the paths it prints are relative.  Call ``NN`` leaves
 ``NN.log``: the command line, standard output, standard error and the exit
 status.  The corpus covers every subcommand, every second stage, synthetic
-and file input, and non-uniform shapes.  Two runs of the same source tree
-must give byte-identical directories (``diff -r``); two trees can be
-compared file by file to list the outputs a change moved.
+and file input, and non-uniform shapes, and pins the one-line errors of a
+few rejected calls.  Two runs of the same source tree must give
+byte-identical directories (``diff -r``); two trees can be compared file
+by file to list the outputs a change moved.
 """
 
 import contextlib
@@ -55,6 +56,12 @@ CALLS = [
     "cpals --input wide.dten --rank 3 --iters 10 --cs 0.5 --variant gaussian "
     "--out-prefix fit.wide",
     "cpals --input mid.dten --rank 2 --iters 15 --tol 0 --seed 9 --out-prefix fit.mid",
+    "gen --shape 4,4 --rank 1 --sigma 0.3 --out sigma.dten",
+    # Sketching a file onto its own path leaves the sidecar of the old shape.
+    "gen --shape 6,5,4 --rank 2 --seed 4 --out stale.dten",
+    "sketch --input stale.dten --targets 6,5,3 --variant gaussian --out stale.dten",
+    "info --input stale.dten",
+    "ls-exp --input cube.dten --cs 0.3 --trials 2 --iters 3 --tol 0.5 --out ls.iters.csv",
 ]
 
 
