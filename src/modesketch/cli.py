@@ -65,24 +65,24 @@ def _second_stage(text: str):
 
 
 def _load_sidecar(path, shape):
-    """(descriptor-or-None, model-or-None) for a DTEN file of ``shape``; the
-    model is rebuilt only from a synthesis sidecar, which must describe it."""
+    """The :class:`SynthSpec` in the sidecar of a DTEN file of ``shape``, or
+    None without a sidecar; a sidecar must be a synthesis sidecar of this file."""
     meta_path = tensorfile.sidecar_path(path)
     if not meta_path.exists():
-        return None, None
+        return None
     try:
         meta = tensorfile.read_sidecar(path)
         if not isinstance(meta, dict):
             raise ValueError(f"expected a JSON object, got {type(meta).__name__}")
         if meta.get("format") != "modesketch-synth":
-            return meta, None
+            raise ValueError('not a synthesis sidecar (no "format": "modesketch-synth")')
         spec = SynthSpec(**{f.name: meta[f.name] for f in fields(SynthSpec)})
         if spec.shape != shape:
             raise ValueError(f"describes shape {spec.shape}, but the file holds {shape}")
     except (KeyError, TypeError, ValueError) as exc:
         problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{meta_path}: {problem}") from None
-    return meta, spec.model()
+    return spec
 
 
 # Flags that only describe synthetic data; --input rejects them.
@@ -97,7 +97,8 @@ def _load_data(args, synth_flags=_SYNTH_FLAGS):
                 raise ValueError(f"--{name.replace('_', '-')} describes synthetic data "
                                  "and cannot be combined with --input")
         X = tensorfile.read_tensor(args.input)
-        return X, _load_sidecar(args.input, X.shape)[1]
+        spec = _load_sidecar(args.input, X.shape)
+        return X, None if spec is None else spec.model()
     if args.shape is None or args.rank is None:
         raise ValueError("either --input or both --shape and --rank are required")
     model, X = synthesize(SynthSpec(args.shape, args.rank, args.kind or "gaussian",
@@ -117,16 +118,15 @@ def _cmd_gen(args, invocation: str) -> int:
 
 def _cmd_info(args, invocation: str) -> int:
     X = tensorfile.read_tensor(args.input)
-    meta, model = _load_sidecar(args.input, X.shape)
+    spec = _load_sidecar(args.input, X.shape)
     print(f"tensor_shape={','.join(map(str, X.shape))}")
     print(f"tensor_modes={X.ndim}")
     print(f"tensor_entries={X.size}")
     print(f"tensor_norm={norm(X)!r}")
-    if meta is not None:
+    if spec is not None:
         for key in ("rank", "kind", "sigma", "seed"):
-            print(f"synth_{key}={meta.get(key)}")
-    if model is not None:
-        print(coherence(model).as_text())
+            print(f"synth_{key}={getattr(spec, key)}")
+        print(coherence(spec.model()).as_text())
     return 0
 
 

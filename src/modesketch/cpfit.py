@@ -21,8 +21,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .diagnostics import CpModel, draw_unit_factors
-from .embeddings import IdentityEmbedding, derive_seed, make_rng
-from .sketch import SketchPlan, _integer, make_plan, sketch_modewise
+from .embeddings import IdentityEmbedding, _integer, derive_seed, make_rng
+from .sketch import SketchPlan, make_plan, sketch_modewise
 from .tensor import (DenseTensor, _check_axis, _contract, khatri_rao_design, norm, unfold,
                      vectorize)
 
@@ -118,32 +118,41 @@ class LsSolution:
     c_n_alpha: Optional[float] = None
 
 
-def _solve_ls(gram: np.ndarray, projected: np.ndarray, design: np.ndarray,
-              rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ``||rhs - design @ beta||`` for one or many right-hand sides.
+def _gram_hadamard(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Hadamard product of the factor Grams ``A^H A``: the Gram matrix of
+    their Khatri-Rao design."""
+    rank = factors[0].shape[1]
+    gram = np.ones((rank, rank), dtype=np.complex128)
+    for f in factors:
+        gram = gram * (f.conj().T @ f)
+    return gram
 
-    ``gram`` and ``projected`` are ``design^H design`` and ``design^H rhs``,
-    which callers may form more cheaply than from ``design``.  Normal
-    equations first; SVD fallback on ``(design, rhs)`` above
-    GRAM_COND_LIMIT.  Returns the coefficients and the Gram condition
-    number.  Raises RuntimeError on a non-finite Gram matrix and
-    DegenerateBasisError when the design itself is rank deficient.
+
+def _solve_ls(design: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficients ``beta``, one row per row of ``rows``, minimizing
+    ``||rows - beta design^T||_F``, given ``gram = design^H design``.
+
+    Normal equations first; SVD fallback on ``design`` above
+    GRAM_COND_LIMIT.  Returns ``beta`` and the Gram condition number.
+    Raises RuntimeError on non-finite values and DegenerateBasisError when
+    the design itself is rank deficient.
     """
-    if not np.all(np.isfinite(gram)):
+    projected = (rows @ design.conj()).T
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(projected))):
         raise RuntimeError("non-finite values in a least-squares problem; the data "
                            "or the iterates have diverged")
     cond = float(np.linalg.cond(gram))
     if np.isfinite(cond) and cond <= GRAM_COND_LIMIT:
         try:
-            return np.linalg.solve(gram, projected), cond
+            return np.linalg.solve(gram, projected).T, cond
         except np.linalg.LinAlgError:
             pass
-    coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, rows.T, rcond=None)
     if rank < design.shape[1]:
         raise DegenerateBasisError(
             f"design matrix is rank deficient (rank {rank} < {design.shape[1]}); "
             "the basis tensors are numerically dependent")
-    return coeffs, cond
+    return coeffs.T, cond
 
 
 def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan,
@@ -155,14 +164,13 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan
     if X.shape != shape:
         raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
     x_p = vectorize(sketch_modewise(plan, X))
-    design = khatri_rao_design([e.apply(f) for e, f in zip(plan.mode_embeddings, factors)])
+    sketched = [e.apply(f) for e, f in zip(plan.mode_embeddings, factors)]
+    design = khatri_rao_design(sketched)
     if plan.second_stage is not None:
         x_p = plan.second_stage.apply(x_p)
         design = plan.second_stage.apply(design)
-    design_h = design.conj().T
-    gram, projected = design_h @ design, design_h @ x_p
-    del design_h  # a copy as large as the design: not held through the solve
-    coeffs, cond = _solve_ls(gram, projected, design, x_p)
+    gram = _gram_hadamard(sketched) if plan.second_stage is None else design.conj().T @ design
+    (coeffs,), cond = _solve_ls(design, x_p[None, :], gram)
     residual = float(np.linalg.norm(x_p - design @ coeffs))
     ratio = None if reference is None else relative_coefficient_norm(coeffs, reference)
     return LsSolution(coeffs, residual, cond, ratio)
@@ -224,23 +232,6 @@ class FitRecord:
     elapsed_s: float
 
 
-def _gram_hadamard(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Hadamard product of the factor Grams ``A^H A``: the Gram matrix of
-    their Khatri-Rao design."""
-    rank = factors[0].shape[1]
-    gram = np.ones((rank, rank), dtype=np.complex128)
-    for f in factors:
-        gram = gram * (f.conj().T @ f)
-    return gram
-
-
-def _als_mode_update(M: np.ndarray, others: Sequence[np.ndarray]) -> np.ndarray:
-    """Solve ``min || M - W K^T ||_F`` for W, where K is the Khatri-Rao
-    design of the fixed factors."""
-    K = khatri_rao_design(others)
-    return _solve_ls(_gram_hadamard(others), (M @ K.conj()).T, K, M.T)[0].T
-
-
 def _gram_error(X: DenseTensor, norm_x: float, weights: np.ndarray,
                 factors: Sequence[np.ndarray]) -> float:
     """Relative error of the CP model without expanding it:
@@ -297,6 +288,8 @@ def cp_als(
         raise ValueError("rank must be at least 1")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     if X.ndim < 2:
         raise ValueError("alternating least squares needs at least two modes")
     norm_x = norm(X)
@@ -322,7 +315,7 @@ def cp_als(
             maps[j] = IdentityEmbedding(X.shape[j])
             target = sketch_modewise(replace(plan, mode_embeddings=tuple(maps)), X)
             others = [e.apply(f) for ell, (e, f) in enumerate(zip(maps, factors)) if ell != j]
-            W = _als_mode_update(unfold(target, j), others)
+            W = _solve_ls(khatri_rao_design(others), unfold(target, j), _gram_hadamard(others))[0]
             del target  # not held through the next mode's sketch
             norms = np.linalg.norm(W, axis=0)
             safe = np.where(norms > 0.0, norms, 1.0)

@@ -48,12 +48,16 @@ _GEMM_MAX_ROWS = 256
 _GEMM_MAX_ROWS_CONTIGUOUS = 128
 
 
+def _integer(value, what: str, low: int = 1) -> int:
+    """``value``, an ``int`` or numpy integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{what} must be an integer of at least {low}, got {value!r}")
+    return int(value)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator for a 64-bit nonnegative seed."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("seeds must be nonnegative")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_integer(seed, "seed", low=0)))
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -63,9 +67,7 @@ def derive_seed(seed: int, *key: int) -> int:
     independent streams (per mode, per trial, per sweep) are reproducible
     from one master seed.
     """
-    entropy = [int(seed)] + [int(k) for k in key]
-    if any(e < 0 for e in entropy):
-        raise ValueError("seed components must be nonnegative")
+    entropy = [_integer(e, "seed component", low=0) for e in (seed, *key)]
     return int(np.random.SeedSequence(entropy).generate_state(2, dtype=np.uint64)[0])
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .embeddings import (
     Embedding,
     IdentityEmbedding,
+    _integer,
     derive_seed,
     fjlt_embedding,
     gaussian_embedding,
@@ -48,13 +49,6 @@ def targets_from_ratio(shape: Sequence[int], ratio: float) -> tuple[int, ...]:
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"compression ratio must lie in (0, 1], got {ratio}")
     return tuple(math.ceil(ratio * n) for n in shape)
-
-
-def _integer(value, what: str, low: int = 1) -> int:
-    """``value``, an ``int`` or numpy integer (not a bool) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{what} must be an integer of at least {low}, got {value!r}")
-    return int(value)
 
 
 def _draw(variant: str, m: int, n: int, seed: int, *key: int) -> Embedding:
@@ -142,9 +136,11 @@ def make_plan(
         per-mode target.  ``m_prime=None`` with variant ``"identity"`` keeps
         the intermediate dimension.
     seed:
-        Master seed; mode ``j`` uses the derived seed ``(seed, 0, j)`` and
-        the second stage ``(seed, 1)``.
+        Master seed, a nonnegative ``int`` or numpy integer (not a bool);
+        mode ``j`` uses the derived seed ``(seed, 0, j)`` and the second
+        stage ``(seed, 1)``.
     """
+    seed = _integer(seed, "seed", low=0)
     shape = tuple(int(n) for n in shape)
     if len(shape) == 0 or min(shape) < 1:
         raise ValueError(f"invalid tensor shape {shape}")
@@ -181,7 +177,7 @@ def make_plan(
         m_prime = _integer(m_prime, "second-stage target dim")
         stage2 = _draw(stage_variant, m_prime, source, seed, _STAGE2_STREAM)
 
-    return SketchPlan(shape, tuple(embeddings), stage2, variant, int(seed))
+    return SketchPlan(shape, tuple(embeddings), stage2, variant, seed)
 
 
 def plan_from_descriptor(text: str) -> SketchPlan:

@@ -29,7 +29,10 @@ KIND_COMPLEX = 1
 
 
 def write_tensor(path: Union[str, Path], X: DenseTensor) -> None:
+    """Write a DTEN file; a payload that ``read_tensor`` would refuse is not written."""
     flat = vectorize(X)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: payload holds NaN or infinite values")
     kind = KIND_REAL if not np.any(flat.imag) else KIND_COMPLEX
     header = MAGIC + bytes([VERSION, kind, X.ndim])
     header += struct.pack(f"<{X.ndim}Q", *X.shape)

@@ -1,6 +1,7 @@
 """DTEN file format and the command-line harness."""
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -76,7 +77,12 @@ class TestTensorFile:
         values = np.ones((3, 4), dtype=np.complex128)
         values[1, 2] = bad
         path = tmp_path / "bad.dten"
-        write_tensor(path, DenseTensor(values))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: payload holds NaN or")):
+            write_tensor(path, DenseTensor(values))
+        assert not path.exists()
+        # The same payload written by hand, as another program might.
+        path.write_bytes(b"DTEN\x01\x01\x02" + struct.pack("<2Q", 3, 4)
+                         + values.T.astype("<c16").tobytes())
         with pytest.raises(ValueError, match="NaN or infinite"):
             read_tensor(path)
         assert main(["info", "--input", str(path)]) == 1
@@ -188,7 +194,11 @@ class TestInfo:
         (lambda meta: {k: v for k, v in meta.items() if k != "rank"}, "missing field 'rank'"),
         (lambda meta: {**meta, "shape": [6, 5, 3]},
          "describes shape (6, 5, 3), but the file holds (6, 5, 4)"),
-    ], ids=["list", "missing-field", "other-shape"])
+        (lambda meta: {k: v for k, v in meta.items() if k != "format"},
+         'not a synthesis sidecar (no "format": "modesketch-synth")'),
+        (lambda meta: {"note": "hand-written"},
+         'not a synthesis sidecar (no "format": "modesketch-synth")'),
+    ], ids=["list", "missing-field", "other-shape", "no-format", "other-object"])
     @pytest.mark.parametrize("command", ["info", "ls-exp"])
     def test_sidecar_must_describe_its_file(self, tmp_path, capsys, command, edit, message):
         src = tmp_path / "d.dten"
@@ -463,6 +473,20 @@ class TestCpalsCommand:
         assert main(["cpals", "--input", str(src), "--rank", "1", "--iters", "0",
                      "--out-prefix", str(tmp_path / "f")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cpals", "ls-exp"])
+    def test_nan_tolerance_rejected(self, tmp_path, capsys, command):
+        src = tmp_path / "d.dten"
+        main(["gen", "--shape", "6,6", "--rank", "1", "--out", str(src)])
+        sidecar_path(src).unlink()  # so ls-exp fits a basis
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [command, "--input", str(src), "--rank", "1", "--tol", "nan"]
+        argv += (["--out-prefix", str(out)] if command == "cpals" else
+                 ["--cs", "0.5", "--trials", "2", "--out", str(out)])
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: tol must not be NaN\n")
+        assert list(tmp_path.iterdir()) == [src]
 
     def test_cs_takes_one_ratio(self, tmp_path):
         with pytest.raises(SystemExit):

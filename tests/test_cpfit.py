@@ -28,7 +28,7 @@ from modesketch import (
     unfold,
     vectorize,
 )
-from modesketch.cpfit import GRAM_COND_LIMIT, GRAM_ERROR_FLOOR
+from modesketch.cpfit import GRAM_COND_LIMIT, GRAM_ERROR_FLOOR, _gram_hadamard
 from modesketch.tensor import khatri_rao_design
 
 from helpers import rel_err
@@ -164,6 +164,20 @@ class TestLsCoefficients:
         np.testing.assert_allclose(sol.coefficients, expected, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda X, f: ls_coefficients(X, f),
+    lambda X, f: compressed_ls_coefficients(X, f, make_plan(X.shape, 0.5, "fjlt", seed=2)),
+    lambda X, f: decoupled_ls_slice(X, f, 0, 1),
+    lambda X, f: decoupled_ls_slice(X, f, 2, 3, make_plan((6, 5), (3, 3), seed=3)),
+], ids=["exact", "compressed", "slice", "sketched-slice"])
+def test_non_finite_data_raises(solve):
+    model, X = synthesize(SynthSpec((6, 5, 4), 2, "gaussian", seed=21))
+    data = X.data.copy()
+    data[1, 2, 3] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite values in a least-squares problem"):
+        solve(DenseTensor(data), model.factors)
+
+
 class TestCompressedLs:
     def test_identity_plan_matches_exact(self):
         model, X = synthesize(SynthSpec((8, 9, 10), 3, "gaussian", seed=13))
@@ -214,6 +228,19 @@ class TestCompressedLs:
             rank1 = outer_product([f[:, k] for f in model.factors])
             col = vectorize(sketch_modewise(plan, rank1))
             assert rel_err(design[:, k], col) < 1e-10
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
+    def test_hadamard_gram_is_the_sketched_design_gram(self, variant, order):
+        # the unstaged solve takes its Gram from the sketched factors; the
+        # 6-long mode maps to 3 rows, which the FJLT applies as a GEMM
+        model, _ = synthesize(SynthSpec((30, 20, 6), 5, "gaussian", seed=22))
+        plan = make_plan((30, 20, 6), 0.5, variant, seed=23)
+        sketched = [e.apply(np.asarray(f, dtype=np.complex128, order=order))
+                    for e, f in zip(plan.mode_embeddings, model.factors)]
+        design = khatri_rao_design(sketched)
+        expected = design.conj().T @ design
+        assert np.abs(_gram_hadamard(sketched) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_coefficient_ratio_approaches_one_with_growing_targets(self):
         # off-span data makes the compressed solution genuinely random;
@@ -388,6 +415,23 @@ class TestCpAls:
         data[1, 2, 3] = np.nan
         with pytest.raises(RuntimeError):
             cp_als(DenseTensor(data), 1, max_iters=5, seed=1)
+
+    def test_non_finite_data_fails_at_first_update(self, monkeypatch):
+        data = RNG.standard_normal((4, 4, 4))
+        data[1, 2, 3] = np.nan
+        modes = []
+        monkeypatch.setattr("modesketch.cpfit.unfold",
+                            lambda X, j: modes.append(j) or unfold(X, j))
+        with pytest.raises(RuntimeError, match="non-finite values in a least-squares problem"):
+            cp_als(DenseTensor(data), 1, max_iters=5, seed=1)
+        assert modes == [0]
+
+    def test_nan_tolerance_rejected(self):
+        _, X = synthesize(SynthSpec((4, 4), 1, "gaussian", seed=36))
+        with pytest.raises(ValueError, match="tol must not be NaN"):
+            cp_als(X, 1, tol=np.nan)
+        _, history = cp_als(X, 1, max_iters=3, tol=-np.inf)
+        assert len(history) == 3
 
 
 FIT_VARIANTS = [(None, "gaussian"), (0.5, "gaussian"), (0.5, "fjlt")]

@@ -12,6 +12,7 @@ from modesketch import (
     derive_seed,
     fjlt_embedding,
     gaussian_embedding,
+    make_plan,
     make_rng,
     mode_product,
 )
@@ -39,6 +40,29 @@ class TestSeeding:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             make_rng(-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, -3], ids=["float", "whole-float",
+                                                                 "bool", "negative"])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            make_rng(seed)
+        with pytest.raises(ValueError, match="seed component must be an integer"):
+            derive_seed(seed, 1)
+        with pytest.raises(ValueError, match="seed component must be an integer"):
+            derive_seed(2, seed)
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            make_plan((8, 8), 0.5, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            make_plan((8, 8), seed=seed)  # the all-identity plan draws nothing
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint32, np.int8])
+    def test_numpy_integer_seeds_accepted(self, kind):
+        np.testing.assert_array_equal(make_rng(kind(7)).standard_normal(4),
+                                      make_rng(7).standard_normal(4))
+        assert derive_seed(kind(7), kind(2)) == derive_seed(7, 2)
+        plan = make_plan((8, 8), 0.5, "fjlt", seed=kind(7))
+        assert plan.descriptor() == make_plan((8, 8), 0.5, "fjlt", seed=7).descriptor()
+        assert type(plan.seed) is int
 
     def test_derive_seed_deterministic_and_spread(self):
         assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)

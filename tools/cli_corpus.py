@@ -62,6 +62,7 @@ CALLS = [
     "sketch --input stale.dten --targets 6,5,3 --variant gaussian --out stale.dten",
     "info --input stale.dten",
     "ls-exp --input cube.dten --cs 0.3 --trials 2 --iters 3 --tol 0.5 --out ls.iters.csv",
+    "ls-exp --input cube.fjlt.dten --rank 2 --tol nan --cs 0.5 --trials 2 --out ls.nan.csv",
 ]
 
 
