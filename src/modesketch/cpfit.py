@@ -6,9 +6,10 @@ The exact problems are the sketched ones run through the all-identity plan
 hand their inputs back unchanged.
 
 The primary solver uses the normal equations of the (possibly sketched)
-design matrix; when the Gram matrix is badly conditioned it falls back to
-an SVD-based least-squares solve, and a genuinely rank-deficient basis
-raises :class:`DegenerateBasisError`.
+design matrix, formed without a second stage from the factor Grams and one
+contraction of the tensor; when the Gram matrix is badly conditioned it
+falls back to an SVD-based least-squares solve on the design, and a
+genuinely rank-deficient basis raises :class:`DegenerateBasisError`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "ls_coefficients",
     "compressed_ls_coefficients",
     "decoupled_ls_slice",
-    "decoupled_factor_update",
     "cp_als",
     "relative_norm",
     "relative_coefficient_norm",
@@ -113,7 +113,6 @@ class LsSolution:
     """
 
     coefficients: np.ndarray
-    residual: float
     gram_cond: float
     c_n_alpha: Optional[float] = None
 
@@ -128,16 +127,18 @@ def _gram_hadamard(factors: Sequence[np.ndarray]) -> np.ndarray:
     return gram
 
 
-def _solve_ls(design: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficients ``beta``, one row per row of ``rows``, minimizing
-    ``||rows - beta design^T||_F``, given ``gram = design^H design``.
+def _solve_ls(gram: np.ndarray, projected: np.ndarray,
+              system: Callable[[], tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, float]:
+    """Coefficients ``beta``, one row per row of ``rows`` (a vector for one
+    right-hand side), minimizing ``||rows - beta design^T||_F``, given
+    ``gram = design^H design`` and ``projected = design^H rows^T``.
 
-    Normal equations first; SVD fallback on ``design`` above
-    GRAM_COND_LIMIT.  Returns ``beta`` and the Gram condition number.
-    Raises RuntimeError on non-finite values and DegenerateBasisError when
-    the design itself is rank deficient.
+    Normal equations first; above GRAM_COND_LIMIT, ``system()`` supplies
+    ``(design, rows)`` for an SVD solve, so only the fallback needs the
+    design.  Returns ``beta`` and the Gram condition number.  Raises
+    RuntimeError on non-finite values and DegenerateBasisError when the
+    design itself is rank deficient.
     """
-    projected = (rows @ design.conj()).T
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(projected))):
         raise RuntimeError("non-finite values in a least-squares problem; the data "
                            "or the iterates have diverged")
@@ -147,6 +148,7 @@ def _solve_ls(design: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> tuple[n
             return np.linalg.solve(gram, projected).T, cond
         except np.linalg.LinAlgError:
             pass
+    design, rows = system()
     coeffs, _, rank, _ = np.linalg.lstsq(design, rows.T, rcond=None)
     if rank < design.shape[1]:
         raise DegenerateBasisError(
@@ -158,22 +160,25 @@ def _solve_ls(design: np.ndarray, rows: np.ndarray, gram: np.ndarray) -> tuple[n
 def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan,
                  reference: Optional[np.ndarray]) -> LsSolution:
     """Sketch the tensor once and each rank-one basis tensor factor by
-    factor with ``plan``, then solve."""
+    factor with ``plan``, then solve; the design is formed only for a
+    second stage or the SVD fallback."""
     factors = [np.asarray(f, dtype=np.complex128) for f in factors]
     shape = tuple(f.shape[0] for f in factors)
     if X.shape != shape:
         raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
-    x_p = vectorize(sketch_modewise(plan, X))
+    sketch = sketch_modewise(plan, X)
     sketched = [e.apply(f) for e, f in zip(plan.mode_embeddings, factors)]
-    design = khatri_rao_design(sketched)
-    if plan.second_stage is not None:
-        x_p = plan.second_stage.apply(x_p)
-        design = plan.second_stage.apply(design)
-    gram = _gram_hadamard(sketched) if plan.second_stage is None else design.conj().T @ design
-    (coeffs,), cond = _solve_ls(design, x_p[None, :], gram)
-    residual = float(np.linalg.norm(x_p - design @ coeffs))
+    if plan.second_stage is None:
+        gram, projected = _gram_hadamard(sketched), _contract_factors(sketch.data, sketched)[0]
+        system = lambda: (khatri_rao_design(sketched), vectorize(sketch))  # noqa: E731
+    else:
+        design = plan.second_stage.apply(khatri_rao_design(sketched))
+        x_p = plan.second_stage.apply(vectorize(sketch))
+        gram, projected = design.conj().T @ design, x_p @ design.conj()
+        system = lambda: (design, x_p)  # noqa: E731
+    coeffs, cond = _solve_ls(gram, projected, system)
     ratio = None if reference is None else relative_coefficient_norm(coeffs, reference)
-    return LsSolution(coeffs, residual, cond, ratio)
+    return LsSolution(coeffs, cond, ratio)
 
 
 def ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
@@ -213,16 +218,6 @@ def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
                         None).coefficients
 
 
-def decoupled_factor_update(slice_coefficients: np.ndarray,
-                            weights: np.ndarray) -> np.ndarray:
-    """Turn stacked slice coefficients into factor entries by dividing out
-    the model weights.  Rejects weights that are numerically zero."""
-    weights = np.asarray(weights, dtype=np.complex128).ravel()
-    if np.any(np.abs(weights) < 1e-12):
-        raise ValueError("cannot update factors: a model weight is numerically zero")
-    return np.asarray(slice_coefficients, dtype=np.complex128) / weights
-
-
 @dataclass(frozen=True)
 class FitRecord:
     """One ALS sweep: iteration number, relative error, elapsed seconds."""
@@ -232,20 +227,24 @@ class FitRecord:
     elapsed_s: float
 
 
-def _gram_error(X: DenseTensor, norm_x: float, weights: np.ndarray,
-                factors: Sequence[np.ndarray]) -> float:
-    """Relative error of the CP model without expanding it:
-    ``||X - M||^2 = ||X||^2 - 2 Re<X, M> + w^H (*_j A_j^H A_j) w``.
-
-    ``<X, M>`` is one GEMM of X's contiguous mode against its factor,
-    then column-wise contractions over the remaining modes.
-    """
-    data = X.data
+def _contract_factors(data: np.ndarray, factors: Sequence[np.ndarray]):
+    """``design^H vec(data)`` for the Khatri-Rao design of ``factors`` by one
+    GEMM on the contiguous mode and one einsum per other mode, rank axis
+    last; also the factors in contraction order (reversed for F order)."""
     if data.flags.f_contiguous and not data.flags.c_contiguous:
         data, factors = data.T, factors[::-1]
     t = _contract(factors[-1].conj().T, data, data.ndim - 1)
     for f in reversed(factors[:-1]):
         t = np.einsum("...ir,ir->...r", t, f.conj())
+    return t, factors
+
+
+def _gram_error(X: DenseTensor, norm_x: float, weights: np.ndarray,
+                factors: Sequence[np.ndarray]) -> float:
+    """Relative error of the CP model without expanding it:
+    ``||X - M||^2 = ||X||^2 - 2 Re<X, M> + w^H (*_j A_j^H A_j) w``.
+    """
+    t, factors = _contract_factors(X.data, factors)
     cross = float(np.real(np.vdot(weights, t)))
     model_sq = float(np.real(np.vdot(weights, _gram_hadamard(factors) @ weights)))
     e2 = (norm_x * norm_x - 2.0 * cross + model_sq) / (norm_x * norm_x)
@@ -284,10 +283,7 @@ def cp_als(
     which is the exact problem.  Sketched sweeps trade monotonicity of the
     objective for speed.
     """
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    rank, max_iters = _integer(rank, "rank"), _integer(max_iters, "max_iters")
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
     if X.ndim < 2:
@@ -315,8 +311,10 @@ def cp_als(
             maps[j] = IdentityEmbedding(X.shape[j])
             target = sketch_modewise(replace(plan, mode_embeddings=tuple(maps)), X)
             others = [e.apply(f) for ell, (e, f) in enumerate(zip(maps, factors)) if ell != j]
-            W = _solve_ls(khatri_rao_design(others), unfold(target, j), _gram_hadamard(others))[0]
-            del target  # not held through the next mode's sketch
+            design, rows = khatri_rao_design(others), unfold(target, j)
+            gram, projected = _gram_hadamard(others), (rows @ design.conj()).T
+            W = _solve_ls(gram, projected, lambda: (design, rows))[0]
+            del target, design, rows  # not held through the next mode's sketch
             norms = np.linalg.norm(W, axis=0)
             safe = np.where(norms > 0.0, norms, 1.0)
             factors[j] = W / safe

@@ -14,7 +14,6 @@ from modesketch import (
     coherence,
     compressed_ls_coefficients,
     cp_als,
-    decoupled_factor_update,
     decoupled_ls_slice,
     derive_seed,
     ls_coefficients,
@@ -28,7 +27,8 @@ from modesketch import (
     unfold,
     vectorize,
 )
-from modesketch.cpfit import GRAM_COND_LIMIT, GRAM_ERROR_FLOOR, _gram_hadamard
+from modesketch.cpfit import (GRAM_COND_LIMIT, GRAM_ERROR_FLOOR, _contract_factors,
+                              _gram_hadamard)
 from modesketch.tensor import khatri_rao_design
 
 from helpers import rel_err
@@ -126,14 +126,6 @@ class TestLsCoefficients:
         assert np.linalg.norm(sol.coefficients - alpha) < 1e-8
         assert sol.c_n_alpha == pytest.approx(1.0, abs=1e-8)
 
-    def test_residual_recomputable(self):
-        model, X = synthesize(SynthSpec((6, 7, 5), 2, "gaussian", seed=11))
-        noisy = X + 0.1 * DenseTensor(RNG.standard_normal(X.shape))
-        sol = ls_coefficients(noisy, model.factors)
-        design = khatri_rao_design(model.factors)
-        expected = np.linalg.norm(vectorize(noisy) - design @ sol.coefficients)
-        assert sol.residual == pytest.approx(expected, rel=1e-8)
-
     def test_degenerate_basis_raises(self):
         # both rank-one basis tensors coincide, so the design has rank 1
         v, w = RNG.standard_normal(6), RNG.standard_normal(5)
@@ -164,6 +156,43 @@ class TestLsCoefficients:
         np.testing.assert_allclose(sol.coefficients, expected, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("shape", [(7, 5), (6, 5, 4), (4, 3, 5, 2)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_factor_contraction_is_the_design_projection(shape, layout, kind):
+    rng = np.random.default_rng(len(shape))
+    wide = (shape[0], 2 * shape[1]) + shape[2:]
+    data = rng.standard_normal(wide) + 1j * rng.standard_normal(wide)
+    data = {"C": np.ascontiguousarray(data[:, ::2]), "F": np.asfortranarray(data[:, ::2]),
+            "strided": data[:, ::2]}[layout]
+    factors = [rng.standard_normal((n, 3)) for n in shape]
+    if kind == "complex":
+        factors = [f + 1j * rng.standard_normal(f.shape) for f in factors]
+    got = _contract_factors(data, factors)[0]
+    X = DenseTensor(data, copy=False)
+    want = khatri_rao_design(factors).conj().T @ vectorize(X)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("solve", [
+    lambda X, f: ls_coefficients(X, f),
+    lambda X, f: compressed_ls_coefficients(X, f, make_plan(X.shape, 0.5, "gaussian", seed=4)),
+    lambda X, f: compressed_ls_coefficients(X, f, make_plan(X.shape, 0.5, "fjlt", seed=4)),
+    lambda X, f: decoupled_ls_slice(X, f, 1, 3),
+], ids=["exact", "gaussian", "fjlt", "slice"])
+def test_unstaged_solves_form_no_design(solve, monkeypatch):
+    model, X = synthesize(SynthSpec((12, 10, 8), 3, "gaussian", seed=29))
+    want = solve(X, model.factors)
+
+    def forbidden(*args):
+        raise AssertionError("the normal-equations path formed a design or a vectorized copy")
+
+    monkeypatch.setattr("modesketch.cpfit.khatri_rao_design", forbidden)
+    monkeypatch.setattr("modesketch.cpfit.vectorize", forbidden)
+    got = solve(X, model.factors)
+    assert np.array_equal(getattr(got, "coefficients", got), getattr(want, "coefficients", want))
+
+
 @pytest.mark.parametrize("solve", [
     lambda X, f: ls_coefficients(X, f),
     lambda X, f: compressed_ls_coefficients(X, f, make_plan(X.shape, 0.5, "fjlt", seed=2)),
@@ -192,7 +221,6 @@ class TestCompressedLs:
         exact = ls_coefficients(X, factors)
         viaplan = compressed_ls_coefficients(X, factors, make_plan(X.shape))
         assert np.array_equal(exact.coefficients, viaplan.coefficients)
-        assert exact.residual == viaplan.residual
         assert exact.gram_cond == viaplan.gram_cond
 
     @pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
@@ -311,16 +339,6 @@ class TestDecoupledSlices:
         joint = np.linalg.lstsq(design, unfold(noisy, j).T, rcond=None)[0].T
         assert rel_err(stacked, joint) < 1e-8
 
-    def test_factor_update_divides_out_weights(self):
-        coeffs = np.array([[2.0, 6.0], [4.0, 3.0]])
-        weights = np.array([2.0, 3.0])
-        np.testing.assert_allclose(decoupled_factor_update(coeffs, weights),
-                                   [[1.0, 2.0], [2.0, 1.0]])
-
-    def test_factor_update_rejects_zero_weight(self):
-        with pytest.raises(ValueError):
-            decoupled_factor_update(np.ones((2, 2)), np.array([1.0, 0.0]))
-
     def test_slice_is_copied_without_unfolding(self):
         model, X = synthesize(SynthSpec((64, 64, 64), 2, "gaussian", seed=28))
         tracemalloc.start()
@@ -409,6 +427,27 @@ class TestCpAls:
             cp_als(X, 1, max_iters=0)
         with pytest.raises(ValueError):
             cp_als(DenseTensor.zeros((4, 4)), 1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rank": 2.5}, "rank must be an integer"),
+        ({"rank": True}, "rank must be an integer"),
+        ({"max_iters": 2.5}, "max_iters must be an integer"),
+        ({"max_iters": True}, "max_iters must be an integer"),
+        ({"rank": 0}, "rank must be an integer of at least 1, got 0"),
+        ({"max_iters": 0}, "max_iters must be an integer of at least 1, got 0"),
+    ])
+    def test_rank_and_sweeps_must_be_integers(self, kwargs, message):
+        _, X = synthesize(SynthSpec((5, 4, 3), 2, "gaussian", seed=36))
+        with pytest.raises(ValueError, match=message):
+            cp_als(X, **{"rank": 2, "max_iters": 3, **kwargs})
+
+    def test_numpy_integer_rank_and_sweeps_give_the_same_fit(self):
+        _, X = synthesize(SynthSpec((5, 4, 3), 2, "gaussian", seed=36))
+        a, ha = cp_als(X, 2, max_iters=3, seed=4)
+        b, hb = cp_als(X, np.int64(2), max_iters=np.int32(3), seed=4)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert all(fa.tobytes() == fb.tobytes() for fa, fb in zip(a.factors, b.factors))
+        assert [h.e_cpd for h in ha] == [h.e_cpd for h in hb]
 
     def test_non_finite_objective_aborts(self):
         data = RNG.standard_normal((4, 4, 4))
