@@ -121,7 +121,7 @@ def _gram_hadamard(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Hadamard product of the factor Grams ``A^H A``: the Gram matrix of
     their Khatri-Rao design."""
     rank = factors[0].shape[1]
-    gram = np.ones((rank, rank), dtype=np.complex128)
+    gram = np.ones((rank, rank), dtype=factors[0].dtype)
     for f in factors:
         gram = gram * (f.conj().T @ f)
     return gram
@@ -162,7 +162,7 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan
     """Sketch the tensor once and each rank-one basis tensor factor by
     factor with ``plan``, then solve; the design is formed only for a
     second stage or the SVD fallback."""
-    factors = [np.asarray(f, dtype=np.complex128) for f in factors]
+    factors = [np.asarray(f) for f in factors]
     shape = tuple(f.shape[0] for f in factors)
     if X.shape != shape:
         raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
@@ -296,9 +296,9 @@ def cp_als(
     rng = make_rng(derive_seed(seed, _SWEEP_STREAM, 0))
     factors = []
     for n in X.shape:
-        f = rng.standard_normal((n, rank)).astype(np.complex128)
+        f = rng.standard_normal((n, rank))
         factors.append(f / np.linalg.norm(f, axis=0))
-    weights = np.ones(rank, dtype=np.complex128)
+    weights = np.ones(rank)
 
     history: list[FitRecord] = []
     start = time.perf_counter()
@@ -318,7 +318,7 @@ def cp_als(
             norms = np.linalg.norm(W, axis=0)
             safe = np.where(norms > 0.0, norms, 1.0)
             factors[j] = W / safe
-            weights = norms.astype(np.complex128)
+            weights = norms
 
         err = _gram_error(X, norm_x, weights, factors)
         if (err < GRAM_ERROR_FLOOR or sweep == max_iters - 1
@@ -360,4 +360,4 @@ def relative_reconstruction_error(X: DenseTensor, X_hat: DenseTensor) -> float:
 def _norm_of(obj) -> float:
     if isinstance(obj, DenseTensor):
         return norm(obj)
-    return float(np.linalg.norm(np.asarray(obj, dtype=np.complex128).ravel()))
+    return float(np.linalg.norm(np.ravel(obj)))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .embeddings import make_rng
-from .tensor import DenseTensor, norm, outer_product
+from .tensor import DenseTensor, _scalars, norm, outer_product
 
 __all__ = [
     "CpModel",
@@ -39,8 +39,8 @@ class CpModel:
     factors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.complex128).ravel()
-        factors = tuple(np.asarray(f, dtype=np.complex128) for f in self.factors)
+        weights = _scalars(self.weights).ravel()
+        factors = tuple(_scalars(f) for f in self.factors)
         r = weights.size
         if r < 1:
             raise ValueError("a CP model needs rank at least 1")
@@ -66,10 +66,12 @@ class CpModel:
         return tuple(f.shape[0] for f in self.factors)
 
     def to_tensor(self) -> DenseTensor:
-        """Dense expansion: the weighted sum of the rank-one terms."""
-        acc = np.zeros(self.shape, dtype=np.complex128)
+        """Dense expansion: the weighted sum of the rank-one terms, each
+        weight folded into its first factor column."""
+        first, *rest = self.factors
+        acc = np.zeros(self.shape, dtype=np.result_type(self.weights, *self.factors))
         for k in range(self.rank):
-            acc += self.weights[k] * outer_product([f[:, k] for f in self.factors]).data
+            acc += outer_product([first[:, k] * self.weights[k], *(f[:, k] for f in rest)]).data
         return DenseTensor(acc, copy=False)
 
     def is_standard_form(self) -> bool:

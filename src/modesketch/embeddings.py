@@ -15,8 +15,10 @@ fixed vector ``x``.  For the subsampled DFT that choice is ``1/sqrt(m)``
 with the unnormalized transform; equivalently ``sqrt(n/m)`` with a unitary
 DFT.  When ``m == n`` the operator is an exact isometry.
 
-All randomness flows through explicitly seeded generators; identical
-seeds reproduce identical maps.
+Real input stays real under a Gaussian map and under the identity; a
+subsampled-DFT map returns complex values for any input.  All randomness
+flows through explicitly seeded generators; identical seeds reproduce
+identical maps.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .tensor import DenseTensor, _check_axis, _contract, mode_product
+from .tensor import DenseTensor, _check_axis, _contract, _scalars, mode_product
 
 __all__ = [
     "GaussianEmbedding",
@@ -88,7 +90,7 @@ class GaussianEmbedding:
 
     def apply(self, x) -> np.ndarray:
         """Multiply a vector (or the columns of a matrix) by the map."""
-        x = np.asarray(x, dtype=np.complex128)
+        x = _scalars(x)
         _check_axis(x.shape, 0, self.n)
         return _contract(self.matrix, x, 0)
 
@@ -166,7 +168,7 @@ class FJLTEmbedding:
         return np.take(spectrum, self.rows, axis=axis) * self.scale
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
+        x = _scalars(x)
         _check_axis(x.shape, 0, self.n)
         if self._use_gemm(x, 0):
             return _contract(self._matrix(), x, 0)
@@ -196,7 +198,7 @@ class IdentityEmbedding:
         return self.n
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
+        x = _scalars(x)
         _check_axis(x.shape, 0, self.n)
         return x
 

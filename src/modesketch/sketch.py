@@ -24,7 +24,7 @@ from .embeddings import (
     gaussian_embedding,
     make_rng,
 )
-from .tensor import DenseTensor, vectorize
+from .tensor import DenseTensor, _scalars, vectorize
 
 __all__ = [
     "SketchPlan",
@@ -244,7 +244,7 @@ def sketch_rank1(
         raise ValueError(f"{len(vectors)} vectors for a {plan.ndim}-mode plan")
     sketched = []
     for mode, (e, v) in enumerate(zip(plan.mode_embeddings, vectors)):
-        v = np.asarray(v, dtype=np.complex128).ravel()
+        v = _scalars(v).ravel()
         if v.size != plan.shape[mode]:
             raise ValueError(f"vector for mode {mode} has length {v.size}, "
                              f"expected {plan.shape[mode]}")
@@ -281,11 +281,11 @@ def vector_subspace_sketch(
     """
     if d < 2:
         raise ValueError(f"need at least two modes, got d={d}")
-    x = np.asarray(x, dtype=np.complex128).ravel()
+    x = _scalars(x).ravel()
     if x.size == 0:
         raise ValueError("cannot sketch an empty vector")
     side = _cube_side(x.size, d)
-    padded = np.zeros(side ** d, dtype=np.complex128)
+    padded = np.zeros(side ** d, dtype=x.dtype)
     padded[: x.size] = x
     cube = DenseTensor(padded.reshape((side,) * d, order="F"), copy=False)
 

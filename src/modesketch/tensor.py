@@ -1,8 +1,11 @@
-"""Dense complex tensors and the deterministic multilinear algebra on them.
+"""Dense real or complex tensors and the deterministic multilinear algebra
+on them.
 
 Conventions used throughout the package:
 
-* scalars are complex double precision; real input is promoted on entry,
+* scalars are double precision: real input (ints and bools included) is
+  held as ``float64``, complex input as ``complex128``, and an array turns
+  complex only where a complex map or complex data meets it,
 * flattening is colexicographic (the first index varies fastest), so
   ``vectorize(multi_mode_product(X, maps))`` equals the Kronecker product
   ``U_d (x) ... (x) U_1`` applied to ``vectorize(X)``,
@@ -34,19 +37,26 @@ __all__ = [
 ]
 
 
-class DenseTensor:
-    """A dense d-mode tensor of complex double-precision scalars.
+def _scalars(x, copy: bool = False) -> np.ndarray:
+    """``x`` as a ``complex128`` array if it holds complex values, else as
+    ``float64``; a copy only when ``copy`` is set or the dtype changes."""
+    dtype = np.complex128 if np.iscomplexobj(x) else np.float64
+    return np.array(x, dtype=dtype) if copy else np.asarray(x, dtype=dtype)
 
-    Wraps a ``numpy.ndarray`` whose shape carries the mode extents.  Real
-    input is accepted and promoted to complex.  Instances are treated as
-    immutable by every operation in this package; nothing mutates ``data``
-    in place.
+
+class DenseTensor:
+    """A dense d-mode tensor of real or complex double-precision scalars.
+
+    Wraps a ``numpy.ndarray`` whose shape carries the mode extents; ``data``
+    is ``float64`` for real input and ``complex128`` for complex input (see
+    :func:`_scalars`).  Instances are treated as immutable by every
+    operation in this package; nothing mutates ``data`` in place.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data, copy: bool = True):
-        arr = np.array(data, dtype=np.complex128) if copy else np.asarray(data, dtype=np.complex128)
+        arr = _scalars(data, copy)
         if arr.ndim == 0:
             raise ValueError("a tensor needs at least one mode")
         if min(arr.shape) < 1:
@@ -56,7 +66,7 @@ class DenseTensor:
     @classmethod
     def from_flat(cls, values, shape: Sequence[int]) -> "DenseTensor":
         """Build a tensor from colexicographically ordered flat values."""
-        flat = np.asarray(values, dtype=np.complex128).ravel()
+        flat = _scalars(values).ravel()
         shape = tuple(int(n) for n in shape)
         if flat.size != math.prod(shape):
             raise ValueError(f"{flat.size} values do not fill shape {shape}")
@@ -64,7 +74,7 @@ class DenseTensor:
 
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "DenseTensor":
-        return cls(np.zeros(tuple(int(n) for n in shape), dtype=np.complex128), copy=False)
+        return cls(np.zeros(tuple(int(n) for n in shape)), copy=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -118,7 +128,7 @@ def fold(M, mode: int, shape: Sequence[int]) -> DenseTensor:
     """Inverse of :func:`unfold`: rebuild a tensor of ``shape`` from its
     mode-``mode`` matricization."""
     shape = tuple(int(n) for n in shape)
-    M = np.asarray(M, dtype=np.complex128)
+    M = _scalars(M)
     _check_axis(shape, mode)
     rest = shape[:mode] + shape[mode + 1 :]
     expected = (shape[mode], math.prod(rest) if rest else 1)
@@ -143,19 +153,24 @@ def mode_product(X: DenseTensor, U, mode: int) -> DenseTensor:
 
 
 def _contract(U: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
-    """``U`` applied to every fiber of the complex array ``data`` along
-    ``axis``; the result has ``U``'s row count in place of that extent.
+    """``U`` applied to every fiber of the ``float64`` or ``complex128``
+    array ``data`` along ``axis``; the result has ``U``'s row count in place
+    of that extent and is complex only if ``U`` or ``data`` is.
 
     A C-contiguous array is viewed as ``(lead, n, trail)`` and contracted by
     one ``np.matmul`` with no transposing copy: ``U`` times each of the
     ``lead`` blocks of ``n x trail`` (a single GEMM when ``lead`` is 1), or
-    ``data @ U.T`` when ``trail`` is 1.  A real ``U`` meets the ``(re, im)``
-    float view of the data in a real GEMM, half the work of promoting it to
-    complex, unless the contracted axis is the contiguous one of several
-    fibers; a vector keeps the view, so a large map is never promoted for
-    it.  An F-contiguous array is contracted through its transpose, and any
-    other layout is first copied to C order.  The result is C-contiguous,
-    or F-contiguous for F-contiguous input.
+    ``data @ U.T`` when ``trail`` is 1.  Real data always meets one real
+    GEMM: with ``U`` itself, or for a complex ``U`` with ``[Re U; Im U]``,
+    whose two halves are written into the real and imaginary parts of the
+    result (along the contiguous axis the rows are interleaved instead, so
+    the product's ``(re, im)`` pairs are the result with no copy).  For
+    complex data a real ``U`` meets the ``(re, im)`` float view of the data
+    in a real GEMM, unless the contracted axis is the contiguous one of
+    several fibers, where ``U`` is promoted; a vector keeps the view.  An
+    F-contiguous array is contracted through its transpose, and any other
+    layout is first copied to C order.  The result is C-contiguous, or
+    F-contiguous for F-contiguous input.
     """
     if not data.flags.c_contiguous:
         if data.flags.f_contiguous:
@@ -163,12 +178,25 @@ def _contract(U: np.ndarray, data: np.ndarray, axis: int) -> np.ndarray:
         data = np.ascontiguousarray(data)
     shape = data.shape
     lead, n, trail = math.prod(shape[:axis]), shape[axis], math.prod(shape[axis + 1:])
-    out_shape = shape[:axis] + (U.shape[0],) + shape[axis + 1:]
-    if not np.iscomplexobj(U) and (trail > 1 or lead == 1):
-        U, data, trail = U.astype(np.float64, copy=False), data.view(np.float64), 2 * trail
-    elif trail == 1:
-        return (data.reshape(lead, n) @ U.astype(np.complex128, copy=False).T).reshape(out_shape)
-    return np.matmul(U, data.reshape(lead, n, trail)).view(np.complex128).reshape(out_shape)
+    m, complex_u = U.shape[0], np.iscomplexobj(U)
+    out_shape = shape[:axis] + (m,) + shape[axis + 1:]
+    if np.iscomplexobj(data):
+        if not complex_u and (trail > 1 or lead == 1):
+            U, data, trail = U.astype(np.float64, copy=False), data.view(np.float64), 2 * trail
+        elif trail == 1:
+            U = U.astype(np.complex128, copy=False)
+            return (data.reshape(lead, n) @ U.T).reshape(out_shape)
+        return np.matmul(U, data.reshape(lead, n, trail)).view(np.complex128).reshape(out_shape)
+    if trail == 1:
+        V = np.stack([U.real, U.imag], 1).reshape(2 * m, n) if complex_u else U
+        out = data.reshape(lead, n) @ V.T
+        return (out.view(np.complex128) if complex_u else out).reshape(out_shape)
+    if not complex_u:
+        return np.matmul(U, data.reshape(lead, n, trail)).reshape(out_shape)
+    parts = np.matmul(np.concatenate([U.real, U.imag]), data.reshape(lead, n, trail))
+    out = np.empty((lead, m, trail), dtype=np.complex128)
+    out.real, out.imag = parts[:, :m], parts[:, m:]
+    return out.reshape(out_shape)
 
 
 def multi_mode_product(X: DenseTensor, maps: Iterable[tuple[int, np.ndarray]]) -> DenseTensor:
@@ -198,7 +226,7 @@ def outer_product(vectors: Sequence[np.ndarray]) -> DenseTensor:
     of the vector coordinates."""
     if len(vectors) == 0:
         raise ValueError("outer product of an empty vector list")
-    arrays = [np.asarray(v, dtype=np.complex128).ravel() for v in vectors]
+    arrays = [_scalars(v).ravel() for v in vectors]
     out = arrays[0]
     for v in arrays[1:]:
         out = out[..., None] * v
@@ -229,8 +257,7 @@ def khatri_rao(A, B) -> np.ndarray:
     The ordering matches :func:`vectorize` of outer products: column ``k``
     of ``khatri_rao(A, B)`` equals ``vectorize(outer_product([b_k, a_k]))``.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
+    A, B = _scalars(A), _scalars(B)
     if A.ndim != 2 or B.ndim != 2:
         raise ValueError("khatri_rao expects two matrices")
     if A.shape[1] != B.shape[1]:
@@ -247,4 +274,4 @@ def khatri_rao_design(factors: Sequence[np.ndarray]) -> np.ndarray:
     """
     if len(factors) == 0:
         raise ValueError("need at least one factor matrix")
-    return reduce(khatri_rao, reversed([np.asarray(f, dtype=np.complex128) for f in factors]))
+    return reduce(khatri_rao, reversed([_scalars(f) for f in factors]))

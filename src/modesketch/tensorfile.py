@@ -3,7 +3,8 @@
 DTEN layout: magic ``DTEN``, version byte 1, scalar-kind byte (0 = real
 float64, 1 = complex float64 pairs), mode-count byte, then d little-endian
 64-bit extents, then the payload in colexicographic order, little endian.
-Real payloads are written whenever the imaginary part is exactly zero, so
+Real payloads are written whenever the imaginary part is exactly zero, and
+read back as ``float64`` tensors (complex payloads as ``complex128``), so
 writing what was read back reproduces the file byte for byte.
 """
 
@@ -33,7 +34,7 @@ def write_tensor(path: Union[str, Path], X: DenseTensor) -> None:
     flat = vectorize(X)
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: payload holds NaN or infinite values")
-    kind = KIND_REAL if not np.any(flat.imag) else KIND_COMPLEX
+    kind = KIND_COMPLEX if np.iscomplexobj(flat) and np.any(flat.imag) else KIND_REAL
     header = MAGIC + bytes([VERSION, kind, X.ndim])
     header += struct.pack(f"<{X.ndim}Q", *X.shape)
     payload = (flat.real.astype("<f8") if kind == KIND_REAL else flat.astype("<c16")).tobytes()
@@ -41,7 +42,11 @@ def write_tensor(path: Union[str, Path], X: DenseTensor) -> None:
 
 
 def read_tensor(path: Union[str, Path]) -> DenseTensor:
-    """Read a DTEN file, checking its header against the file size first."""
+    """Read a DTEN file, checking its header against the file size first.
+
+    A real payload gives a ``float64`` tensor, a complex one ``complex128``;
+    either is F-ordered, a view of the payload.
+    """
     with open(path, "rb") as fh:
         head = fh.read(7)
         if len(head) < 7 or head[:4] != MAGIC:

@@ -24,11 +24,13 @@ def random_tensor(rng, shape, complex_entries=True) -> DenseTensor:
     return DenseTensor(data)
 
 
-def layouts(rng, shape) -> dict:
-    """One complex array of ``shape`` laid out three ways: C-ordered,
-    F-ordered, and strided with no contiguous axis at all."""
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    wide = np.zeros(tuple(shape[:-1]) + (2 * shape[-1],), dtype=np.complex128)
+def layouts(rng, shape, complex_entries=True) -> dict:
+    """One array of ``shape`` (complex, or real ``float64``) laid out three
+    ways: C-ordered, F-ordered, and strided with no contiguous axis at all."""
+    data = rng.standard_normal(shape)
+    if complex_entries:
+        data = data + 1j * rng.standard_normal(shape)
+    wide = np.zeros(tuple(shape[:-1]) + (2 * shape[-1],), dtype=data.dtype)
     wide[..., ::2] = data
     return {"C": data, "F": np.asfortranarray(data), "strided": wide[..., ::2]}
 

@@ -40,6 +40,17 @@ class TestTensorFile:
         write_tensor(b, read_tensor(a))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("kind, dtype", [(0, np.float64), (1, np.complex128)])
+    def test_payload_kind_gives_the_dtype(self, tmp_path, kind, dtype):
+        values = RNG.standard_normal((5, 4, 3)) + (1j if kind else 0.0)
+        a, b = tmp_path / "a.dten", tmp_path / "b.dten"
+        write_tensor(a, DenseTensor(values))
+        assert a.read_bytes()[5] == kind
+        X = read_tensor(a)
+        assert X.data.dtype == dtype and X.data.flags.f_contiguous
+        write_tensor(b, X)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_real_payload_is_compact(self, tmp_path):
         X = DenseTensor(np.ones((10, 10)))
         path = tmp_path / "real.dten"

@@ -1,6 +1,7 @@
 """Synthetic data, exact and compressed least squares, decoupled slice
 solves, CP-ALS, and the relative-norm metrics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,28 @@ def test_non_finite_data_raises(solve):
         solve(DenseTensor(data), model.factors)
 
 
+@pytest.mark.parametrize("solve, dtype", [
+    (lambda X, f: ls_coefficients(X, f).coefficients, np.float64),
+    (lambda X, f: compressed_ls_coefficients(
+        X, f, make_plan(X.shape, 0.5, "gaussian", seed=4)).coefficients, np.float64),
+    (lambda X, f: compressed_ls_coefficients(
+        X, f, make_plan(X.shape, 0.5, "gaussian", (40, "gaussian"), seed=4)).coefficients,
+     np.float64),
+    (lambda X, f: compressed_ls_coefficients(
+        X, f, make_plan(X.shape, 0.5, "fjlt", seed=4)).coefficients, np.complex128),
+    (lambda X, f: decoupled_ls_slice(X, f, 1, 3), np.float64),
+    (lambda X, f: decoupled_ls_slice(X, f, 0, 2, make_plan((10, 8), 0.5, "fjlt", seed=5)),
+     np.complex128),
+], ids=["exact", "gaussian", "two-stage", "fjlt", "slice", "fjlt-slice"])
+def test_real_data_solves_match_the_promoted_data(solve, dtype):
+    model, X = synthesize(SynthSpec((12, 10, 8), 3, "gaussian", seed=29))
+    data = X.data + 0.1 * np.random.default_rng(30).standard_normal(X.shape)
+    got = solve(DenseTensor(data), model.factors)
+    want = solve(DenseTensor(data.astype(np.complex128)), model.factors)
+    assert got.dtype == dtype
+    assert rel_err(got, want) < 1e-12
+
+
 class TestCompressedLs:
     def test_identity_plan_matches_exact(self):
         model, X = synthesize(SynthSpec((8, 9, 10), 3, "gaussian", seed=13))
@@ -363,6 +386,24 @@ class TestDecoupledSlices:
 
 
 class TestCpAls:
+    @pytest.mark.parametrize("compression, variant, dtype", [
+        (None, "gaussian", np.float64), (0.6, "gaussian", np.float64),
+        (0.6, "fjlt", np.complex128)], ids=["exact", "gaussian", "fjlt"])
+    def test_real_input_matches_the_promoted_fit(self, compression, variant, dtype):
+        _, X = synthesize(SynthSpec((10, 9, 8), 3, "gaussian", seed=41))
+        data = X.data + 0.05 * np.random.default_rng(42).standard_normal(X.shape)
+        fits = [cp_als(DenseTensor(d), 3, max_iters=5, tol=-math.inf, seed=43,
+                       compression=compression, variant=variant)
+                for d in (data, data.astype(np.complex128))]
+        (fit, history), (want, want_history) = fits
+        assert [f.dtype for f in fit.factors] == [dtype] * 3
+        assert fit.weights.dtype == np.float64
+        for got, ref in zip((fit.weights, *fit.factors), (want.weights, *want.factors)):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert len(history) == len(want_history) == 5
+        for a, b in zip(history, want_history):
+            assert abs(a.e_cpd - b.e_cpd) <= 1e-10
+
     def test_rank_one_exact_fit(self):
         _, X = synthesize(SynthSpec((12, 10, 11), 1, "gaussian", seed=701))
         model, history = cp_als(X, 1, max_iters=50, tol=0.0, seed=702)

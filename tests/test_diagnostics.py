@@ -51,6 +51,29 @@ class TestCpModel:
                                * model.factors[2][k, q] for q in range(2))
                     assert abs(X.data[i, j, k] - want) < 1e-13
 
+    @pytest.mark.parametrize("weights, factor_kind, dtype", [
+        ("real", "real", np.float64), ("complex", "real", np.complex128),
+        ("real", "complex", np.complex128)])
+    def test_to_tensor_follows_the_dtype(self, weights, factor_kind, dtype):
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal(3) * (1j if weights == "complex" else 1.0)
+        factors = [rng.standard_normal((n, 3)) for n in (4, 5, 2)]
+        if factor_kind == "complex":
+            factors = [f * (1 + 2j) for f in factors]
+        model = CpModel(w, factors)
+        assert model.weights.dtype == np.result_type(w, np.float64)
+        X = model.to_tensor()
+        assert X.data.dtype == dtype
+        want = np.einsum("r,ir,jr,kr->ijk", w, *factors)
+        assert np.abs(X.data - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_unit_weights_expand_bit_for_bit(self):
+        # Folding a unit weight into the first column leaves its terms exact.
+        model = gaussian_cp_model((6, 5, 4), 3, np.random.default_rng(6))
+        want = sum(np.einsum("i,j,k->ijk", *(f[:, k] for f in model.factors))
+                   for k in range(3))
+        assert np.array_equal(model.to_tensor().data, want)
+
     def test_normalize_folds_norms_into_weights(self):
         raw = CpModel(np.array([2.0, -1.0]),
                       (RNG.standard_normal((4, 2)) * 3.0,

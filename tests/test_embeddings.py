@@ -1,5 +1,7 @@
 """Gaussian and subsampled-DFT embeddings against dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,24 @@ class TestFJLTGemmCrossover:
         want = mode_product(DenseTensor(x), e.as_matrix(), 0).data
         assert rel_err(got, want) < 1e-12
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    @pytest.mark.parametrize("m", ROWS)
+    def test_real_data_matches_the_promoted_data(self, m, mode, layout):
+        shape = [17, 16]
+        shape.insert(mode, self.N)
+        data = layouts(RNG, tuple(shape), complex_entries=False)[layout]
+        e = fjlt_embedding(m, self.N, make_rng(derive_seed(m, mode)))
+        assert e._use_gemm(data, mode) == self.gemm_side(m, data, mode)
+        got = e.apply_to_mode(DenseTensor(data, copy=False), mode).data
+        want = e.apply_to_mode(DenseTensor(data.astype(np.complex128)), mode).data
+        assert got.dtype == np.complex128
+        assert rel_err(got, want) < 1e-12
+        columns = np.moveaxis(data, mode, 0)
+        got = e.apply(columns)
+        assert got.dtype == np.complex128
+        assert rel_err(got, e.apply(columns.astype(np.complex128))) < 1e-12
+
     def test_fewer_fibers_than_rows_use_the_fft(self):
         e = fjlt_embedding(8, self.N, make_rng(3))
         x = layouts(RNG, (self.N, 7))["C"]
@@ -242,6 +262,44 @@ class TestFJLTGemmCrossover:
         e = fjlt_embedding(min(n, 205), n, make_rng(n))
         want = np.fft.fft(np.eye(n))[e.rows] * e.signs * e.scale
         assert np.max(np.abs(e._matrix() - want)) <= 1e-12 * e.scale
+
+
+class TestRealData:
+    """Real input stays real under Gaussian and identity maps and agrees
+    with the same map applied to the promoted complex input."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_gaussian_keeps_real_data_real(self, mode, layout):
+        data = layouts(RNG, (9, 8, 7), complex_entries=False)[layout]
+        e = gaussian_embedding(4, data.shape[mode], make_rng(mode))
+        got = e.apply_to_mode(DenseTensor(data, copy=False), mode).data
+        assert got.dtype == np.float64
+        want = e.apply_to_mode(DenseTensor(data.astype(np.complex128)), mode).data
+        assert rel_err(got, want) < 1e-12
+        columns = np.moveaxis(data, mode, 0)
+        got = e.apply(columns)
+        assert got.dtype == np.float64
+        assert rel_err(got, e.apply(columns.astype(np.complex128))) < 1e-12
+
+    def test_identity_keeps_real_data_real(self):
+        x = np.arange(6)
+        assert IdentityEmbedding(6).apply(x).dtype == np.float64
+
+    def test_f_ordered_real_tensor_makes_no_complex_copy(self):
+        # Every tensor read_tensor returns is F-ordered.
+        data = np.asfortranarray(RNG.standard_normal((60, 50, 40)))
+        X = DenseTensor(data, copy=False)
+        maps = [gaussian_embedding(10, n, make_rng(n)) for n in data.shape]
+        tracemalloc.start()
+        try:
+            outputs = [e.apply_to_mode(X, mode) for mode, e in enumerate(maps)]
+            outputs.append(maps[0].apply(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes  # a complex copy takes twice that
+        assert [Y.data.dtype for Y in outputs[:3]] + [outputs[3].dtype] == [np.float64] * 4
 
 
 class TestApplyToMode:

@@ -4,6 +4,7 @@ vector reshaping, descriptors, and norm-preservation statistics."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -203,6 +204,46 @@ class TestSketchModewise:
                     for t in range(60)]
             medians.append(np.median(vals))
         assert all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))
+
+
+class TestRealData:
+    """A real tensor stays real through Gaussian maps and turns complex at
+    its first FJLT map; either way it agrees with the promoted tensor."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("variant, dtype", [("gaussian", np.float64),
+                                                ("fjlt", np.complex128)])
+    def test_sketch_and_norm_match_the_promoted_tensor(self, variant, dtype, layout):
+        data = layouts(RNG, (12, 10, 14), complex_entries=False)[layout]
+        X, promoted = DenseTensor(data, copy=False), DenseTensor(data.astype(np.complex128))
+        assert abs(norm(X) - norm(promoted)) <= 1e-12 * norm(promoted)
+        plan = make_plan(X.shape, 0.5, variant, seed=17)
+        got, want = sketch_modewise(plan, X), sketch_modewise(plan, promoted)
+        assert got.data.dtype == dtype
+        assert rel_err(got.data, want.data) < 1e-12
+        assert abs(norm(got) - norm(want)) <= 1e-12 * norm(want)
+
+    def test_gaussian_sketch_makes_no_complex_copy(self):
+        data = RNG.standard_normal((64, 64, 64))
+        plan = make_plan(data.shape, 0.5, "gaussian", seed=3)
+        tracemalloc.start()
+        try:
+            Y = sketch_modewise(plan, DenseTensor(data, copy=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Y.data.dtype == np.float64
+        assert peak < data.nbytes  # a complex copy takes twice that
+
+    def test_rank1_and_vector_sketches_follow_the_data(self):
+        vs = [RNG.standard_normal(n) for n in (3, 4, 5)]
+        for variant, dtype in (("gaussian", np.float64), ("fjlt", np.complex128)):
+            plan = make_plan((3, 4, 5), (2, 2, 2), variant, seed=31)
+            assert {v.dtype for v in sketch_rank1(plan, vs)[0]} == {np.dtype(dtype)}
+            got = vector_subspace_sketch(vs[2], 2, 2, variant, seed=4)
+            assert got.dtype == dtype
+            want = vector_subspace_sketch(vs[2].astype(np.complex128), 2, 2, variant, seed=4)
+            assert rel_err(got, want) < 1e-12
 
 
 class TestCostOrder:

@@ -52,9 +52,24 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             DenseTensor(3.0)
 
-    def test_real_input_promoted(self):
-        X = DenseTensor(np.eye(2))
-        assert X.data.dtype == np.complex128
+    @pytest.mark.parametrize("given, held", [
+        (np.float64, np.float64), (np.float32, np.float64), (np.int64, np.float64),
+        (np.int8, np.float64), (np.bool_, np.float64),
+        (np.complex64, np.complex128), (np.complex128, np.complex128),
+    ])
+    def test_dtype_follows_the_data(self, given, held):
+        data = np.eye(2).astype(given)
+        for X in (DenseTensor(data), DenseTensor(data, copy=False),
+                  DenseTensor.from_flat(data.ravel(), (2, 2)), fold(data, 0, (2, 2)),
+                  outer_product([data[0], data[1]])):
+            assert X.data.dtype == held
+        assert khatri_rao(data, data).dtype == held
+        assert khatri_rao_design([data, data]).dtype == held
+
+    def test_float64_input_is_not_copied_without_copy(self):
+        data = np.eye(3)
+        assert DenseTensor(data, copy=False).data is data
+        assert DenseTensor.zeros((2, 3)).data.dtype == np.float64
 
 
 class TestUnfoldFold:
@@ -225,6 +240,40 @@ class TestContract:
             tracemalloc.stop()
         assert peak < U.nbytes / 2
         assert rel_err(got, einsum_contract(U, data, 0)) < 1e-12
+
+
+class TestContractRealData:
+    """Real data meets one real GEMM and stays real under a real map; each
+    result agrees with the contraction of the promoted complex data."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 4, 5), (2, 3, 4, 5)])
+    def test_every_axis_matches_the_promoted_contraction(self, shape, layout, kind):
+        data = layouts(RNG, shape, complex_entries=False)[layout]
+        for axis in range(len(shape)):
+            U = random_matrix(RNG, 3, shape[axis], complex_entries=kind == "complex")
+            got = _contract(U, data, axis)
+            promoted = data.astype(np.complex128)
+            assert got.dtype == (np.complex128 if kind == "complex" else np.float64)
+            assert got.shape == shape[:axis] + (3,) + shape[axis + 1:]
+            assert rel_err(got, _contract(U, promoted, axis)) < 1e-12
+            assert rel_err(got, einsum_contract(U, promoted, axis)) < 1e-12
+            order = "f_contiguous" if layout == "F" else "c_contiguous"
+            assert getattr(got.flags, order)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_no_complex_copy_of_the_data(self, axis, kind):
+        data = layouts(RNG, (64, 64, 64), complex_entries=False)["C"]
+        U = random_matrix(RNG, 8, 64, complex_entries=kind == "complex")
+        tracemalloc.start()
+        try:
+            _contract(U, data, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes  # a complex copy takes twice that
 
 
 class TestMultiModeProduct:

@@ -63,6 +63,11 @@ CALLS = [
     "info --input stale.dten",
     "ls-exp --input cube.dten --cs 0.3 --trials 2 --iters 3 --tol 0.5 --out ls.iters.csv",
     "ls-exp --input cube.fjlt.dten --rank 2 --tol nan --cs 0.5 --trials 2 --out ls.nan.csv",
+    # Complex input (an FJLT sketch) through a Gaussian map and a two-stage sweep.
+    "sketch --input cube.fjlt.dten --cs 0.5 --variant gaussian --seed 8 "
+    "--out cube.fjlt.gauss.dten",
+    "norm-exp --input cube.fjlt.dten --cs 0.5 --trials 2 --seed 5 --variant fjlt "
+    "--second-stage 20:gaussian --out norm.complex.csv",
 ]
 
 
