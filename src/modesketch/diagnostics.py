@@ -9,6 +9,7 @@ silently renormalizing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,13 +67,23 @@ class CpModel:
         return tuple(f.shape[0] for f in self.factors)
 
     def to_tensor(self) -> DenseTensor:
-        """Dense expansion: the weighted sum of the rank-one terms, each
-        weight folded into its first factor column."""
-        first, *rest = self.factors
-        acc = np.zeros(self.shape, dtype=np.result_type(self.weights, *self.factors))
+        """Dense expansion: the weighted sum of the rank-one terms.
+
+        Row k of an ``(r, N / n_last)`` array holds the outer product of
+        term k over the leading modes, its weight folded into the first
+        factor column; one GEMM against the last factor matrix then sums
+        the terms, C-ordered.  A 1-mode model is ``factor @ weights``.
+        """
+        *lead, last = self.factors
+        if not lead:
+            return DenseTensor(last @ self.weights, copy=False)
+        first, *rest = lead
+        terms = np.empty((self.rank, math.prod(f.shape[0] for f in lead)),
+                         dtype=np.result_type(self.weights, *self.factors))
         for k in range(self.rank):
-            acc += outer_product([first[:, k] * self.weights[k], *(f[:, k] for f in rest)]).data
-        return DenseTensor(acc, copy=False)
+            terms[k] = outer_product([first[:, k] * self.weights[k],
+                                      *(f[:, k] for f in rest)]).data.ravel()
+        return DenseTensor((terms.T @ last.T).reshape(self.shape), copy=False)
 
     def is_standard_form(self) -> bool:
         return all(np.all(np.abs(np.linalg.norm(f, axis=0) - 1.0) <= STANDARD_FORM_TOL)
@@ -171,10 +182,14 @@ def coefficient_norm_bound(model: CpModel) -> CoefficientNormBound:
     mu_prime = coherence(model).basis_coherence
     r = model.rank
 
-    dense_norm_sq = norm(model.to_tensor()) ** 2
-    if dense_norm_sq == 0.0:
+    # An expansion that cancels leaves a rounding residue, not an exact 0:
+    # compare its norm with the sum of the term norms.
+    term_norms = np.abs(model.weights) * np.prod([np.linalg.norm(f, axis=0)
+                                                  for f in model.factors], axis=0)
+    dense_norm = norm(model.to_tensor())
+    if dense_norm <= 4 * r * np.finfo(float).eps * term_norms.sum():
         raise ValueError("model expands to the zero tensor; the ratio is undefined")
-    ratio = float(np.linalg.norm(model.weights) ** 2) / dense_norm_sq
+    ratio = float(np.linalg.norm(model.weights) ** 2) / dense_norm ** 2
 
     lower = 1.0 / (1.0 + (r - 1) * mu_prime)
     if (r - 1) * mu_prime < 1.0:

@@ -35,10 +35,14 @@ def write_tensor(path: Union[str, Path], X: DenseTensor) -> None:
     if not np.isfinite(flat).all():
         raise ValueError(f"{path}: payload holds NaN or infinite values")
     kind = KIND_COMPLEX if np.iscomplexobj(flat) and np.any(flat.imag) else KIND_REAL
-    header = MAGIC + bytes([VERSION, kind, X.ndim])
-    header += struct.pack(f"<{X.ndim}Q", *X.shape)
-    payload = (flat.real.astype("<f8") if kind == KIND_REAL else flat.astype("<c16")).tobytes()
-    Path(path).write_bytes(header + payload)
+    header = MAGIC + bytes([VERSION, kind, X.ndim]) + struct.pack(f"<{X.ndim}Q", *X.shape)
+    # A copy only where the payload is not one little-endian run already:
+    # the real part of a complex array, or a byte-swapped machine.
+    payload = (np.ascontiguousarray(flat.real, dtype="<f8") if kind == KIND_REAL
+               else np.ascontiguousarray(flat, dtype="<c16"))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_tensor(path: Union[str, Path]) -> DenseTensor:

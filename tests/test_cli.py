@@ -51,6 +51,28 @@ class TestTensorFile:
         write_tensor(b, X)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_imaginary_part_writes_the_real_bytes(self, tmp_path, order):
+        values = RNG.standard_normal((5, 4, 3))
+        a, b = tmp_path / "a.dten", tmp_path / "b.dten"
+        write_tensor(a, DenseTensor(values))
+        write_tensor(b, DenseTensor(np.asarray(values + 0j, order=order)))
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("order, limit", [("F", 0.25), ("C", 1.25)])
+    def test_write_copies_the_payload_at_most_once(self, tmp_path, order, limit):
+        # F-ordered data is the payload already; C-ordered data is
+        # reordered once.  The isfinite mask adds an eighth either way.
+        X = DenseTensor(np.asarray(RNG.standard_normal((64, 64, 64)), order=order))
+        tracemalloc.start()
+        try:
+            write_tensor(tmp_path / "big.dten", X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * X.data.nbytes
+        assert np.array_equal(read_tensor(tmp_path / "big.dten").data, X.data)
+
     def test_real_payload_is_compact(self, tmp_path):
         X = DenseTensor(np.ones((10, 10)))
         path = tmp_path / "real.dten"

@@ -1,5 +1,7 @@
 """Coherence diagnostics and coefficient-norm bounds for CP bases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from modesketch import (
     coherence,
     norm,
     normalize,
+    outer_product,
     subgaussian_coherence_check,
 )
 from modesketch.diagnostics import gaussian_cp_model
@@ -67,12 +70,42 @@ class TestCpModel:
         want = np.einsum("r,ir,jr,kr->ijk", w, *factors)
         assert np.abs(X.data - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_unit_weights_expand_bit_for_bit(self):
-        # Folding a unit weight into the first column leaves its terms exact.
-        model = gaussian_cp_model((6, 5, 4), 3, np.random.default_rng(6))
-        want = sum(np.einsum("i,j,k->ijk", *(f[:, k] for f in model.factors))
-                   for k in range(3))
-        assert np.array_equal(model.to_tensor().data, want)
+    def test_rank_one_expands_bit_for_bit(self):
+        # One term: the GEMM over the last mode adds nothing to each product.
+        model = gaussian_cp_model((6, 5, 4), 1, np.random.default_rng(6))
+        (w,), (a, b, c) = model.weights, (f[:, 0] for f in model.factors)
+        assert np.array_equal(model.to_tensor().data, outer_product([a * w, b, c]).data)
+
+    @pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 4, 3), (4, 3, 2, 5)])
+    @pytest.mark.parametrize("weights, factor_kind", [
+        ("real", "real"), ("complex", "real"), ("real", "complex"), ("real", "mixed")])
+    def test_to_tensor_matches_einsum(self, shape, weights, factor_kind):
+        rng = np.random.default_rng(len(shape))
+        r = 4
+        w = rng.standard_normal(r) * (1 + 1j if weights == "complex" else 1.0)
+        factors = [rng.standard_normal((n, r)) for n in shape]
+        if factor_kind == "complex":
+            factors = [f + 1j * rng.standard_normal(f.shape) for f in factors]
+        elif factor_kind == "mixed":  # only the last mode, which the GEMM takes, is complex
+            factors[-1] = factors[-1] + 1j * rng.standard_normal(factors[-1].shape)
+        X = CpModel(w, factors).to_tensor().data
+        letters = "ijkl"[:len(shape)]
+        operands = ",".join(c + "r" for c in letters)
+        want = np.einsum(f"r,{operands}->{letters}", w, *factors)
+        assert X.shape == shape and X.flags.c_contiguous
+        assert X.dtype == want.dtype
+        assert np.abs(X - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_to_tensor_peak_is_the_output(self):
+        # The terms array is r / n_last of the output; no full-size temporary.
+        model = gaussian_cp_model((64, 64, 64), 4, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            X = model.to_tensor()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * X.data.nbytes
 
     def test_normalize_folds_norms_into_weights(self):
         raw = CpModel(np.array([2.0, -1.0]),
@@ -197,13 +230,21 @@ class TestCoefficientNormBound:
             if not bound.vacuous:
                 assert bound.lower - 1e-12 <= bound.ratio <= bound.upper + 1e-12
 
+    def test_near_cancelling_weights_still_bounded(self):
+        # A residue of 1e-6 of the term norms is far above rounding level.
+        v = RNG.standard_normal(5)
+        v /= np.linalg.norm(v)
+        f = np.column_stack([v, v])
+        bound = coefficient_norm_bound(CpModel(np.array([1.0, -(1.0 - 1e-6)]), (f, f)))
+        assert bound.ratio == pytest.approx((1.0 + (1.0 - 1e-6) ** 2) / 1e-12, rel=1e-6)
+
     def test_vacuous_marker_for_coherent_basis(self):
         v = RNG.standard_normal(5)
         v /= np.linalg.norm(v)
         f = np.column_stack([v, v])
         model = CpModel(np.array([1.0, -1.0]), (f, f))
-        # weights cancel: expansion is zero, ratio undefined
-        with pytest.raises(ValueError):
+        # weights cancel: expansion is zero up to rounding, ratio undefined
+        with pytest.raises(ValueError, match="zero tensor"):
             coefficient_norm_bound(model)
         # three identical terms push (r-1) * basis coherence past 1
         f3 = np.column_stack([v, v, v])

@@ -68,6 +68,11 @@ CALLS = [
     "--out cube.fjlt.gauss.dten",
     "norm-exp --input cube.fjlt.dten --cs 0.5 --trials 2 --seed 5 --variant fjlt "
     "--second-stage 20:gaussian --out norm.complex.csv",
+    # 2- and 4-mode expansions.
+    "gen --shape 9,7 --rank 3 --seed 10 --out flat.dten",
+    "gen --shape 5,4,3,6 --rank 2 --seed 11 --out quad.dten",
+    "info --input flat.dten",
+    "info --input quad.dten",
 ]
 
 
