@@ -22,10 +22,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .diagnostics import CpModel, draw_unit_factors
-from .embeddings import IdentityEmbedding, _integer, derive_seed, make_rng
+from .embeddings import _SWEEP_STREAM, IdentityEmbedding, derive_seed, make_rng
 from .sketch import SketchPlan, make_plan, sketch_modewise
-from .tensor import (DenseTensor, _check_axis, _contract, khatri_rao_design, norm, unfold,
-                     vectorize)
+from .tensor import (DenseTensor, _check_axis, _contract, _integer, _shape, khatri_rao_design,
+                     norm, unfold, vectorize)
 
 __all__ = [
     "DegenerateBasisError",
@@ -53,9 +53,6 @@ GRAM_COND_LIMIT = 1e8
 GRAM_ERROR_FLOOR = 1e-5
 GRAM_ERROR_SLACK = 1e-10
 
-# Stream tag for per-sweep sketch plans inside cp_als.
-_SWEEP_STREAM = 2
-
 
 class DegenerateBasisError(RuntimeError):
     """Raised when the least-squares basis is numerically rank deficient."""
@@ -79,9 +76,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.shape) == 0:
-            raise ValueError("synthetic data needs at least one mode")
-        object.__setattr__(self, "shape", tuple(_integer(n, "every extent") for n in self.shape))
+        object.__setattr__(self, "shape", _shape(self.shape))
         _integer(self.rank, "rank")
         _integer(self.seed, "seed", low=0)
         if self.kind not in ("gaussian", "coherent"):
@@ -163,6 +158,9 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan
     factor with ``plan``, then solve; the design is formed only for a
     second stage or the SVD fallback."""
     factors = [np.asarray(f) for f in factors]
+    if any(f.ndim != 2 for f in factors) or len({f.shape[1] for f in factors}) > 1:
+        raise ValueError(f"factors must be matrices with one column count, got shapes "
+                         f"{[f.shape for f in factors]}")
     shape = tuple(f.shape[0] for f in factors)
     if X.shape != shape:
         raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
@@ -209,7 +207,7 @@ def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
     if X.ndim < 2:
         raise ValueError("a decoupled slice solve needs at least two modes")
     _check_axis(X.shape, mode)
-    if not 0 <= index < X.shape[mode]:
+    if not 0 <= _integer(index, "slice index", low=None) < X.shape[mode]:
         raise IndexError(f"slice {index} out of range for mode {mode} "
                          f"of extent {X.shape[mode]}")
     slice_t = DenseTensor(np.take(X.data, index, axis=mode), copy=False)
@@ -294,11 +292,7 @@ def cp_als(
     d = X.ndim
 
     rng = make_rng(derive_seed(seed, _SWEEP_STREAM, 0))
-    factors = []
-    for n in X.shape:
-        f = rng.standard_normal((n, rank))
-        factors.append(f / np.linalg.norm(f, axis=0))
-    weights = np.ones(rank)
+    factors, weights = list(draw_unit_factors(X.shape, rank, rng)), np.ones(rank)
 
     history: list[FitRecord] = []
     start = time.perf_counter()

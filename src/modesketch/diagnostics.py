@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .embeddings import make_rng
-from .tensor import DenseTensor, _scalars, norm, outer_product
+from .tensor import DenseTensor, _integer, _scalars, _shape, norm, outer_product
 
 __all__ = [
     "CpModel",
@@ -218,8 +218,8 @@ def draw_unit_factors(shape: Sequence[int], rank: int, rng: np.random.Generator,
     ``1 + sigma * g`` when ``sigma`` is given) with unit-norm columns.
     Modes are drawn in order from ``rng``."""
     factors = []
-    for n in shape:
-        g = rng.standard_normal((int(n), rank))
+    for n in _shape(shape):
+        g = rng.standard_normal((n, rank))
         f = g if sigma is None else 1.0 + sigma * g
         factors.append(f / np.linalg.norm(f, axis=0))
     return tuple(factors)
@@ -228,8 +228,7 @@ def draw_unit_factors(shape: Sequence[int], rank: int, rng: np.random.Generator,
 def gaussian_cp_model(shape: Sequence[int], rank: int,
                       rng: np.random.Generator) -> CpModel:
     """Unit weights with i.i.d. standard Gaussian factors, columns normalized."""
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    rank = _integer(rank, "rank")
     return CpModel(np.ones(rank), draw_unit_factors(shape, rank, rng))
 
 
@@ -242,8 +241,8 @@ def subgaussian_coherence_check(n: int, r: int, d: int, trials: int,
     kind are incoherent with high probability, and the returned statistics
     make that concrete for given ``(n, r, d)``.
     """
-    if min(n, r, d, trials) < 1:
-        raise ValueError("n, r, d and trials must all be positive")
+    for value, what in ((n, "n"), (r, "r"), (d, "d"), (trials, "trials")):
+        _integer(value, what)
     rng = make_rng(seed)
     samples = []
     for _ in range(trials):

@@ -29,7 +29,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .tensor import DenseTensor, _check_axis, _contract, _scalars, mode_product
+from .tensor import DenseTensor, _check_axis, _contract, _integer, _scalars, mode_product
 
 __all__ = [
     "GaussianEmbedding",
@@ -50,11 +50,12 @@ _GEMM_MAX_ROWS = 256
 _GEMM_MAX_ROWS_CONTIGUOUS = 128
 
 
-def _integer(value, what: str, low: int = 1) -> int:
-    """``value``, an ``int`` or numpy integer (not a bool) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{what} must be an integer of at least {low}, got {value!r}")
-    return int(value)
+# Stream tags, the first key after the master seed in every derive_seed
+# call; one table so that no two derived streams coincide.
+_MODE_STREAM = 0    # sketch: per-mode maps, key (0, mode)
+_STAGE2_STREAM = 1  # sketch: the second stage, key (1,)
+_SWEEP_STREAM = 2   # cpfit: initial factors (2, 0) and sweep plans (2, sweep)
+_TRIAL_STREAM = 4   # harness: trial seeds (4, c_s index, trial)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -215,8 +216,7 @@ Embedding = Union[GaussianEmbedding, FJLTEmbedding, IdentityEmbedding]
 
 def gaussian_embedding(m: int, n: int, rng: np.random.Generator) -> GaussianEmbedding:
     """Draw an ``m x n`` Gaussian map scaled by ``1/sqrt(m)``."""
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got m={m}, n={n}")
+    m, n = _integer(m, "m"), _integer(n, "n")
     return GaussianEmbedding(rng.standard_normal((m, n)) / math.sqrt(m))
 
 
@@ -226,7 +226,7 @@ def fjlt_embedding(m: int, n: int, rng: np.random.Generator) -> FJLTEmbedding:
     Draw order is fixed (signs first, then rows) so a seed fully determines
     the operator.
     """
-    if not 1 <= m <= n:
+    if _integer(m, "m") > _integer(n, "n"):
         raise ValueError(f"restriction cannot oversample: need 1 <= m <= n, got m={m}, n={n}")
     signs = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
     rows = np.sort(rng.choice(n, size=m, replace=False))

@@ -18,9 +18,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .cpfit import compressed_ls_coefficients, ls_coefficients
-from .embeddings import derive_seed
+from .embeddings import _TRIAL_STREAM, derive_seed
 from .sketch import make_plan, sketch_full, sketch_modewise, targets_from_ratio
-from .tensor import DenseTensor, norm
+from .tensor import DenseTensor, _integer, norm
 
 __all__ = [
     "ExperimentRecord",
@@ -30,9 +30,6 @@ __all__ = [
     "write_replay_csv",
     "summarize",
 ]
-
-# Stream tag separating harness trial seeds from other derived streams.
-_TRIAL_STREAM = 4
 
 CSV_HEADER = "experiment,c_s,trial,seed,metric,value,wall_ms"
 
@@ -63,7 +60,7 @@ def _grid(shape: Sequence[int], cs_values: Sequence[float], trials: int,
         raise ValueError("need at least one compression ratio")
     for c in ratios:
         targets_from_ratio(shape, c)
-    if trials < 1:
+    if _integer(trials, "trials", low=None) < 1:
         raise ValueError("need at least one trial")
     return [(cs, t, derive_seed(seed, _TRIAL_STREAM, ci, t))
             for ci, cs in enumerate(ratios) for t in range(trials)]

@@ -16,15 +16,16 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .embeddings import (
+    _MODE_STREAM,
+    _STAGE2_STREAM,
     Embedding,
     IdentityEmbedding,
-    _integer,
     derive_seed,
     fjlt_embedding,
     gaussian_embedding,
     make_rng,
 )
-from .tensor import DenseTensor, _scalars, vectorize
+from .tensor import DenseTensor, _integer, _scalars, _shape, vectorize
 
 __all__ = [
     "SketchPlan",
@@ -39,16 +40,12 @@ __all__ = [
 
 VARIANTS = ("gaussian", "fjlt", "identity")
 
-# Stream tags for per-plan seed derivation.
-_MODE_STREAM = 0
-_STAGE2_STREAM = 1
-
 
 def targets_from_ratio(shape: Sequence[int], ratio: float) -> tuple[int, ...]:
     """Per-mode target dims ``ceil(ratio * n_j)`` for a compression ratio."""
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"compression ratio must lie in (0, 1], got {ratio}")
-    return tuple(math.ceil(ratio * n) for n in shape)
+    return tuple(math.ceil(ratio * n) for n in _shape(shape))
 
 
 def _draw(variant: str, m: int, n: int, seed: int, *key: int) -> Embedding:
@@ -141,9 +138,7 @@ def make_plan(
         stage ``(seed, 1)``.
     """
     seed = _integer(seed, "seed", low=0)
-    shape = tuple(int(n) for n in shape)
-    if len(shape) == 0 or min(shape) < 1:
-        raise ValueError(f"invalid tensor shape {shape}")
+    shape = _shape(shape)
     if variant not in VARIANTS:
         raise ValueError(f"unknown embedding variant {variant!r}; expected one of {VARIANTS}")
 
@@ -279,8 +274,7 @@ def vector_subspace_sketch(
     :func:`make_plan`).  When no second stage is requested an identity
     stage is used, so the result is the vectorized modewise sketch.
     """
-    if d < 2:
-        raise ValueError(f"need at least two modes, got d={d}")
+    d = _integer(d, "d", low=2)
     x = _scalars(x).ravel()
     if x.size == 0:
         raise ValueError("cannot sketch an empty vector")

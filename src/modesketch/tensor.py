@@ -44,6 +44,23 @@ def _scalars(x, copy: bool = False) -> np.ndarray:
     return np.array(x, dtype=dtype) if copy else np.asarray(x, dtype=dtype)
 
 
+def _integer(value, what: str, low: Optional[int] = 1) -> int:
+    """``value`` as an ``int``: an int or numpy integer, not a bool, at least ``low`` if set."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" of at least {low}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _shape(shape: Iterable[int]) -> tuple[int, ...]:
+    """``shape`` as a tuple of at least one extent, each an integer of at least 1."""
+    shape = tuple(_integer(n, "every extent") for n in shape)
+    if not shape:
+        raise ValueError("a tensor needs at least one mode")
+    return shape
+
+
 class DenseTensor:
     """A dense d-mode tensor of real or complex double-precision scalars.
 
@@ -57,24 +74,21 @@ class DenseTensor:
 
     def __init__(self, data, copy: bool = True):
         arr = _scalars(data, copy)
-        if arr.ndim == 0:
-            raise ValueError("a tensor needs at least one mode")
-        if min(arr.shape) < 1:
-            raise ValueError(f"every extent must be at least 1, got shape {arr.shape}")
+        _shape(arr.shape)
         self.data = arr
 
     @classmethod
     def from_flat(cls, values, shape: Sequence[int]) -> "DenseTensor":
         """Build a tensor from colexicographically ordered flat values."""
         flat = _scalars(values).ravel()
-        shape = tuple(int(n) for n in shape)
+        shape = _shape(shape)
         if flat.size != math.prod(shape):
             raise ValueError(f"{flat.size} values do not fill shape {shape}")
         return cls(flat.reshape(shape, order="F"), copy=False)
 
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "DenseTensor":
-        return cls(np.zeros(tuple(int(n) for n in shape)), copy=False)
+        return cls(np.zeros(_shape(shape)), copy=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,8 +118,8 @@ class DenseTensor:
 
 
 def _check_axis(shape: Sequence[int], mode: int, extent: Optional[int] = None) -> None:
-    """Reject a mode outside ``shape``, or one whose extent is not ``extent``."""
-    if not 0 <= mode < len(shape):
+    """Reject a non-integer or out-of-range mode, or one whose extent is not ``extent``."""
+    if not 0 <= _integer(mode, "mode", low=None) < len(shape):
         raise IndexError(f"mode {mode} out of range for a {len(shape)}-mode tensor")
     if extent is not None and shape[mode] != extent:
         raise ValueError(f"mode {mode} has extent {shape[mode]}, but the map acts on "
@@ -127,7 +141,7 @@ def unfold(X: DenseTensor, mode: int) -> np.ndarray:
 def fold(M, mode: int, shape: Sequence[int]) -> DenseTensor:
     """Inverse of :func:`unfold`: rebuild a tensor of ``shape`` from its
     mode-``mode`` matricization."""
-    shape = tuple(int(n) for n in shape)
+    shape = _shape(shape)
     M = _scalars(M)
     _check_axis(shape, mode)
     rest = shape[:mode] + shape[mode + 1 :]

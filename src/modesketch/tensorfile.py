@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .tensor import DenseTensor, vectorize
+from .tensor import DenseTensor, _shape, vectorize
 
 __all__ = ["write_tensor", "read_tensor", "write_sidecar", "read_sidecar", "sidecar_path"]
 
@@ -60,12 +60,13 @@ def read_tensor(path: Union[str, Path]) -> DenseTensor:
             raise ValueError(f"{path}: unsupported DTEN version {version}")
         if kind not in (KIND_REAL, KIND_COMPLEX):
             raise ValueError(f"{path}: unknown scalar kind {kind}")
-        if d < 1:
-            raise ValueError(f"{path}: tensor needs at least one mode")
         extents = fh.read(8 * d)
         if len(extents) < 8 * d:
             raise ValueError(f"{path}: truncated DTEN header")
-        shape = struct.unpack(f"<{d}Q", extents)
+        try:
+            shape = _shape(struct.unpack(f"<{d}Q", extents))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         count = math.prod(shape)
         width = 8 if kind == KIND_REAL else 16
         if os.fstat(fh.fileno()).st_size != 7 + 8 * d + count * width:

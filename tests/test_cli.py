@@ -86,7 +86,7 @@ class TestTensorFile:
         payload = np.frombuffer(path.read_bytes()[7 + 24:], dtype="<f8")
         np.testing.assert_array_equal(payload, np.arange(1, 9))
 
-    def test_rejects_malformed_files(self, tmp_path):
+    def test_rejects_malformed_files(self, tmp_path, capsys):
         bad = tmp_path / "bad.dten"
         bad.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(ValueError):
@@ -104,6 +104,16 @@ class TestTensorFile:
         huge.write_bytes(b"DTEN\x01\x00\x02" + struct.pack("<2Q", 2**40, 2**40))
         with pytest.raises(ValueError, match="payload size does not match shape"):
             read_tensor(huge)
+        # Header errors name the file, a zero extent or mode count included.
+        for name, d, extents, message in [("zero.dten", 2, (3, 0), "every extent"),
+                                          ("nomode.dten", 0, (), "at least one mode")]:
+            path = tmp_path / name
+            path.write_bytes(b"DTEN\x01\x00" + bytes([d]) + struct.pack(f"<{d}Q", *extents))
+            with pytest.raises(ValueError, match=re.escape(f"{path}: ") + f".*{message}"):
+                read_tensor(path)
+            assert main(["info", "--input", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
     def test_rejects_non_finite_payload(self, tmp_path, capsys, bad):

@@ -92,6 +92,10 @@ class TestSynthesize:
         ({"kind": "coherent", "sigma": float("nan")}, "finite sigma > 0, got nan"),
         ({"kind": "coherent", "sigma": float("inf")}, "finite sigma > 0, got inf"),
         ({"kind": "coherent", "sigma": -0.5}, "finite sigma > 0, got -0.5"),
+        ({"shape": (8.7, 4)}, "every extent must be an integer"),
+        ({"shape": (True, 4)}, "every extent must be an integer"),
+        ({"shape": ()}, "at least one mode"),
+        ({"rank": 8.7}, "rank must be an integer"),
     ])
     def test_unusable_values_rejected(self, kwargs, message):
         spec = {"shape": (4, 4), "rank": 2, "kind": "gaussian", "sigma": None, "seed": 0}
@@ -476,6 +480,8 @@ class TestCpAls:
         ({"max_iters": True}, "max_iters must be an integer"),
         ({"rank": 0}, "rank must be an integer of at least 1, got 0"),
         ({"max_iters": 0}, "max_iters must be an integer of at least 1, got 0"),
+        ({"rank": 8.7}, "rank must be an integer"),
+        ({"max_iters": 8.7}, "max_iters must be an integer"),
     ])
     def test_rank_and_sweeps_must_be_integers(self, kwargs, message):
         _, X = synthesize(SynthSpec((5, 4, 3), 2, "gaussian", seed=36))

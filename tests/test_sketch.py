@@ -96,7 +96,7 @@ class TestMakePlan:
             make_plan((4, 4), scalar)
         assert repr(scalar) in str(exc.value)
 
-    @pytest.mark.parametrize("entry", [2.5, np.float64(2.0), True, np.bool_(True), "3", 0])
+    @pytest.mark.parametrize("entry", [2.5, np.float64(2.0), True, np.bool_(True), "3", 0, 8.7])
     def test_target_entries_must_be_positive_integers(self, entry):
         with pytest.raises(ValueError, match="mode 1") as exc:
             make_plan((4, 4), [3, entry])
