@@ -17,6 +17,7 @@ with a one-line diagnostic on any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -270,10 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built on first use: parsing leaves no state in it,
+# and building it costs about as much as a small command.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     invocation = "modesketch " + " ".join(argv)
     try:
         return args.func(args, invocation)

@@ -6,10 +6,13 @@ The exact problems are the sketched ones run through the all-identity plan
 hand their inputs back unchanged.
 
 The primary solver uses the normal equations of the (possibly sketched)
-design matrix, formed without a second stage from the factor Grams and one
-contraction of the tensor; when the Gram matrix is badly conditioned it
-falls back to an SVD-based least-squares solve on the design, and a
-genuinely rank-deficient basis raises :class:`DegenerateBasisError`.
+design matrix.  Without a second stage neither the design nor the sketched
+tensor is formed: the Gram is the Hadamard product of the sketched factor
+Grams, and the projection is one r-column pass over the tensor against the
+sketched factors pulled back through each map's adjoint (``S^H S A``).
+When the Gram matrix is badly conditioned the solver falls back to an
+SVD-based least-squares solve on the design, and a genuinely rank-deficient
+basis raises :class:`DegenerateBasisError`.
 """
 
 from __future__ import annotations
@@ -154,9 +157,12 @@ def _solve_ls(gram: np.ndarray, projected: np.ndarray,
 
 def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan,
                  reference: Optional[np.ndarray]) -> LsSolution:
-    """Sketch the tensor once and each rank-one basis tensor factor by
-    factor with ``plan``, then solve; the design is formed only for a
-    second stage or the SVD fallback."""
+    """Sketch each rank-one basis tensor factor by factor with ``plan``, then
+    solve.  Without a second stage the tensor is not sketched:
+    ``(*_l S_l A_l)^H (S_d (x) ... (x) S_1) vec X = (*_l S_l^H S_l A_l)^H vec X``,
+    so the projection is one r-column pass over ``X`` against the sketched
+    factors pulled back through each map's adjoint.  The sketch of ``X`` and
+    the design are formed only for a second stage or the SVD fallback."""
     factors = [np.asarray(f) for f in factors]
     if any(f.ndim != 2 for f in factors) or len({f.shape[1] for f in factors}) > 1:
         raise ValueError(f"factors must be matrices with one column count, got shapes "
@@ -164,14 +170,17 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan
     shape = tuple(f.shape[0] for f in factors)
     if X.shape != shape:
         raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
-    sketch = sketch_modewise(plan, X)
+    if X.shape != plan.shape:
+        raise ValueError(f"tensor shape {X.shape} does not match plan shape {plan.shape}")
     sketched = [e.apply(f) for e, f in zip(plan.mode_embeddings, factors)]
     if plan.second_stage is None:
-        gram, projected = _gram_hadamard(sketched), _contract_factors(sketch.data, sketched)[0]
-        system = lambda: (khatri_rao_design(sketched), vectorize(sketch))  # noqa: E731
+        pulled = [e.adjoint(s) for e, s in zip(plan.mode_embeddings, sketched)]
+        gram, projected = _gram_hadamard(sketched), _contract_factors(X.data, pulled)[0]
+        system = lambda: (khatri_rao_design(sketched),  # noqa: E731
+                          vectorize(sketch_modewise(plan, X)))
     else:
         design = plan.second_stage.apply(khatri_rao_design(sketched))
-        x_p = plan.second_stage.apply(vectorize(sketch))
+        x_p = plan.second_stage.apply(vectorize(sketch_modewise(plan, X)))
         gram, projected = design.conj().T @ design, x_p @ design.conj()
         system = lambda: (design, x_p)  # noqa: E731
     coeffs, cond = _solve_ls(gram, projected, system)
@@ -189,8 +198,10 @@ def ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
 def compressed_ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
                                plan: SketchPlan,
                                reference: Optional[np.ndarray] = None) -> LsSolution:
-    """Coefficients from the sketched problem: the tensor is sketched once
-    and each rank-one basis tensor is sketched factor by factor."""
+    """Coefficients from the sketched problem: each rank-one basis tensor is
+    sketched factor by factor, and without a second stage ``X`` is never
+    sketched; its projection comes from the factors pulled back through the
+    maps' adjoints."""
     return _sketched_ls(X, factors, plan, reference)
 
 

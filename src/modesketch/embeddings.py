@@ -15,10 +15,16 @@ fixed vector ``x``.  For the subsampled DFT that choice is ``1/sqrt(m)``
 with the unnormalized transform; equivalently ``sqrt(n/m)`` with a unitary
 DFT.  When ``m == n`` the operator is an exact isometry.
 
-Real input stays real under a Gaussian map and under the identity; a
-subsampled-DFT map returns complex values for any input.  All randomness
-flows through explicitly seeded generators; identical seeds reproduce
-identical maps.
+Every map also has ``adjoint``, the conjugate transpose applied to a vector
+or to the columns of a matrix: the transposed Gaussian matrix, the
+subsampled DFT's zero-filled inverse transform with the signs and scale
+(under the same GEMM rule as its forward application), and the identity.
+Compressed least squares pulls sketched factors back through it.
+
+Real input stays real under a Gaussian map, its adjoint and the identity;
+a subsampled-DFT map and its adjoint return complex values for any input.
+All randomness flows through explicitly seeded generators; identical seeds
+reproduce identical maps.
 """
 
 from __future__ import annotations
@@ -94,6 +100,12 @@ class GaussianEmbedding:
         x = _scalars(x)
         _check_axis(x.shape, 0, self.n)
         return _contract(self.matrix, x, 0)
+
+    def adjoint(self, y) -> np.ndarray:
+        """Multiply a vector (or the columns of a matrix) by the transpose."""
+        y = _scalars(y)
+        _check_axis(y.shape, 0, self.m)
+        return _contract(self.matrix.T, y, 0)
 
     def apply_to_mode(self, X: DenseTensor, mode: int) -> DenseTensor:
         return mode_product(X, self.matrix, mode)
@@ -175,6 +187,20 @@ class FJLTEmbedding:
             return _contract(self._matrix(), x, 0)
         return self._transform(x, 0)
 
+    def adjoint(self, y) -> np.ndarray:
+        """Multiply a vector (or the columns of a matrix) by the conjugate
+        transpose: ``scale * signs * (n * ifft)`` of the input zero-filled at
+        ``rows``, or one GEMM with the matrix under the rule of :meth:`apply`."""
+        y = _scalars(y)
+        _check_axis(y.shape, 0, self.m)
+        if self._use_gemm(y, 0):
+            return _contract(self._matrix().conj().T, y, 0)
+        filled = np.zeros((self.n,) + y.shape[1:], dtype=np.complex128)
+        filled[self.rows] = y
+        diagonal = (self.signs * self.scale).reshape((self.n,) + (1,) * (y.ndim - 1))
+        # norm="forward" leaves the inverse transform unscaled: n * ifft.
+        return np.fft.ifft(filled, axis=0, norm="forward") * diagonal
+
     def apply_to_mode(self, X: DenseTensor, mode: int) -> DenseTensor:
         _check_axis(X.shape, mode, self.n)
         if self._use_gemm(X.data, mode):
@@ -194,6 +220,9 @@ class IdentityEmbedding:
     kind: ClassVar[str] = "identity"
     n: int
 
+    def __post_init__(self):
+        _integer(self.n, "n")
+
     @property
     def m(self) -> int:
         return self.n
@@ -202,6 +231,8 @@ class IdentityEmbedding:
         x = _scalars(x)
         _check_axis(x.shape, 0, self.n)
         return x
+
+    adjoint = apply
 
     def apply_to_mode(self, X: DenseTensor, mode: int) -> DenseTensor:
         _check_axis(X.shape, mode, self.n)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modesketch import CpModel, DenseTensor, cp_als
+from modesketch import cli
 from modesketch.cli import main
 from modesketch.harness import norm_experiment
 from modesketch.tensorfile import read_sidecar, read_tensor, sidecar_path, write_tensor
@@ -606,3 +607,40 @@ class TestArgumentHandling:
         main(["gen", "--shape", "6,6,6", "--rank", "2", "--seed", "1", "--out", str(src)])
         assert main([command, "--input", str(src), "--cs", "0.5", "--trials", "2",
                      "--out", str(tmp_path / "x.csv")]) == 0
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        # A rejected ls-exp, then norm-exp, then ls-exp through the process's
+        # one parser give what a freshly built parser gives each call.
+        calls = [
+            ["ls-exp", "--input", "g.dten", "--cs", "0.5", "--trials", "x", "--out", "bad.csv"],
+            ["norm-exp", "--input", "g.dten", "--cs", "0.5", "--trials", "2",
+             "--second-stage", "10:fjlt", "--out", "n.csv"],
+            ["ls-exp", "--input", "g.dten", "--cs", "0.5", "--trials", "2", "--out", "l.csv"],
+        ]
+
+        def run_all(where):
+            where.mkdir()
+            monkeypatch.chdir(where)
+            main(["gen", "--shape", "6,5,4", "--rank", "2", "--seed", "1", "--out", "g.dten"])
+            capsys.readouterr()
+            results = []
+            for argv in calls:
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+                results.append((status, *capsys.readouterr()))
+            files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+            return results, files
+
+        cli._parser.cache_clear()
+        shared = run_all(tmp_path / "shared")
+        assert cli._parser.cache_info().misses == 1
+        assert [status for status, *_ in shared[0]] == [2, 0, 0]
+        for argv in calls[1:]:
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        assert "iters" not in vars(cli._parser().parse_args(calls[1]))
+        assert "second_stage" not in vars(cli._parser().parse_args(calls[2]))
+
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run_all(tmp_path / "fresh") == shared

@@ -3,6 +3,7 @@ solves, CP-ALS, and the relative-norm metrics."""
 
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -320,8 +321,80 @@ class TestCompressedLs:
 
     def test_plan_shape_mismatch(self):
         model, X = synthesize(SynthSpec((6, 6), 2, "gaussian", seed=20))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"tensor shape \(6, 6\) does not match plan shape"):
             compressed_ls_coefficients(X, model.factors, make_plan((6, 7), (3, 3)))
+
+
+def dense_sketch_operator(plan):
+    """``S_d (x) ... (x) S_1``, the modewise sketch of a colexicographic vector."""
+    maps = [e.as_matrix() for e in plan.mode_embeddings]
+    return reduce(np.kron, reversed(maps))
+
+
+@pytest.mark.parametrize("shape, targets", [
+    ((9, 7), 0.5),
+    ((8, 6, 5), 0.5),
+    ((8, 6, 5), (4, None, 3)),
+    ((5, 4, 3, 6), 0.6),
+], ids=["2-mode", "3-mode", "3-mode-none", "4-mode"])
+@pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_compressed_solve_matches_the_dense_oracle(shape, targets, variant, order, kind):
+    # off-span data, so the sketched solution differs from the exact one
+    model, T = synthesize(SynthSpec(shape, 2, "gaussian", seed=len(shape)))
+    rng = np.random.default_rng(40 + len(shape))
+    noise = rng.standard_normal(shape)
+    if kind == "complex":
+        noise = noise + 1j * rng.standard_normal(shape)
+    data = np.asarray(T.data + 0.3 * noise, order=order)
+    plan = make_plan(shape, targets, variant, seed=41)
+    sol = compressed_ls_coefficients(DenseTensor(data, copy=False), model.factors, plan)
+    S = dense_sketch_operator(plan)
+    design = S @ khatri_rao_design(model.factors)
+    want = np.linalg.lstsq(design, S @ data.ravel(order="F"), rcond=None)[0]
+    assert rel_err(sol.coefficients, want) < 1e-10
+    assert rel_err(sol.coefficients, ls_coefficients(DenseTensor(data), model.factors)
+                   .coefficients) > 1e-6
+
+
+@pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
+def test_compressed_fallback_matches_the_dense_oracle(variant):
+    # nearly parallel basis tensors: the lstsq fallback sketches the tensor
+    rng = np.random.default_rng(12)
+    factors = []
+    for n in (8, 7, 6):
+        v, w = rng.standard_normal(n), rng.standard_normal(n)
+        factors.append(np.column_stack([v, v + 1e-5 * w]))
+    X = DenseTensor(rng.standard_normal((8, 7, 6)))
+    plan = make_plan(X.shape, 0.6, variant, seed=5)
+    sol = compressed_ls_coefficients(X, factors, plan)
+    assert sol.gram_cond > GRAM_COND_LIMIT
+    S = dense_sketch_operator(plan)
+    want = np.linalg.lstsq(S @ khatri_rao_design(factors), S @ vectorize(X), rcond=None)[0]
+    assert rel_err(sol.coefficients, want) < 1e-8
+
+
+@pytest.mark.parametrize("solve", [
+    lambda X, f: compressed_ls_coefficients(X, f, make_plan(X.shape, 0.5, "gaussian", seed=4)),
+    lambda X, f: compressed_ls_coefficients(X, f, make_plan(X.shape, 0.5, "fjlt", seed=4)),
+    lambda X, f: compressed_ls_coefficients(X, f, make_plan(X.shape, (6, None, 4), seed=4)),
+    lambda X, f: decoupled_ls_slice(X, f, 1, 3, make_plan((12, 8), 0.5, "fjlt", seed=5)),
+], ids=["gaussian", "fjlt", "none-mode", "sketched-slice"])
+def test_unstaged_solves_sketch_no_tensor(solve, monkeypatch):
+    model, X = synthesize(SynthSpec((12, 10, 8), 3, "gaussian", seed=29))
+    X = X + 0.1 * DenseTensor(np.random.default_rng(31).standard_normal(X.shape))
+    want = solve(X, model.factors)
+
+    def forbidden(*args):
+        raise AssertionError("an unstaged solve sketched the tensor")
+
+    monkeypatch.setattr("modesketch.cpfit.sketch_modewise", forbidden)
+    got = solve(X, model.factors)
+    assert np.array_equal(getattr(got, "coefficients", got), getattr(want, "coefficients", want))
+    with pytest.raises(AssertionError, match="sketched the tensor"):
+        compressed_ls_coefficients(X, model.factors,
+                                   make_plan(X.shape, 0.5, second_stage=(40, "gaussian")))
 
 
 class TestDecoupledSlices:

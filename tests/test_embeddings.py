@@ -336,6 +336,85 @@ class TestApplyToMode:
             e.apply_to_mode(X, mode)
 
 
+class TestAdjoint:
+    """``adjoint`` is ``as_matrix().conj().T`` on vectors and on columns,
+    real or complex, on both sides of the FJLT's GEMM/FFT rule."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 33])
+    @pytest.mark.parametrize("kind", ["gaussian", "fjlt-fft", "fjlt-gemm"])
+    @pytest.mark.parametrize("columns", [None, 1, 4], ids=["vector", "1col", "4col"])
+    @pytest.mark.parametrize("entries", ["real", "complex"])
+    def test_matches_the_dense_conjugate_transpose(self, n, kind, columns, entries,
+                                                   monkeypatch):
+        if kind != "gaussian":
+            monkeypatch.setattr(FJLTEmbedding, "_use_gemm",
+                                lambda self, data, axis: kind == "fjlt-gemm")
+        rng = np.random.default_rng(n)
+        maker = gaussian_embedding if kind == "gaussian" else fjlt_embedding
+        for m in sorted({max(1, n // 3), n}):
+            e = maker(m, n, make_rng(50 + m))
+            shape = (m,) if columns is None else (m, columns)
+            y = rng.standard_normal(shape)
+            if entries == "complex":
+                y = y + 1j * rng.standard_normal(shape)
+            got = e.adjoint(y)
+            want = e.as_matrix().conj().T @ y
+            assert got.shape == (n,) + shape[1:]
+            assert np.abs(got - want).max() <= 1e-12 * n * max(np.abs(want).max(), 1.0)
+
+    def test_fjlt_rule_picks_the_gemm_for_many_columns(self, monkeypatch):
+        # as in apply: the GEMM runs once the input is at least the matrix
+        e = fjlt_embedding(3, 8, make_rng(6))
+        real, built = FJLTEmbedding._matrix, []
+
+        def counted(self):
+            built.append(self.m)
+            return real(self)
+
+        monkeypatch.setattr(FJLTEmbedding, "_matrix", counted)
+        for columns, gemm in [(2, False), (7, False), (8, True)]:
+            built.clear()
+            y = RNG.standard_normal((3, columns)) + 1j * RNG.standard_normal((3, columns))
+            assert rel_err(e.adjoint(y), e.as_matrix().conj().T @ y) < 1e-12
+            assert built == ([3] if gemm else [])
+
+    @pytest.mark.parametrize("kind", ["gaussian", "fjlt", "identity"])
+    def test_is_the_inner_product_transpose(self, kind):
+        # <S x, y> = <x, S^H y>
+        rng = np.random.default_rng(17)
+        e = {"gaussian": lambda: gaussian_embedding(5, 12, make_rng(3)),
+             "fjlt": lambda: fjlt_embedding(5, 12, make_rng(3)),
+             "identity": lambda: IdentityEmbedding(12)}[kind]()
+        for _ in range(5):
+            x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+            y = rng.standard_normal(e.m) + 1j * rng.standard_normal(e.m)
+            lhs, rhs = np.vdot(y, e.apply(x)), np.vdot(e.adjoint(y), x)
+            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+    def test_gaussian_keeps_real_input_real(self):
+        e = gaussian_embedding(4, 9, make_rng(2))
+        y = RNG.standard_normal((4, 3))
+        got = e.adjoint(y)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, e.matrix.T @ y, rtol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_identity_returns_its_input(self, shape, dtype):
+        y = RNG.standard_normal(shape).astype(dtype)
+        got = IdentityEmbedding(6).adjoint(y)
+        assert got.dtype == dtype
+        assert np.array_equal(got, y)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "fjlt", "identity"])
+    def test_length_mismatch(self, kind):
+        e = {"gaussian": lambda: gaussian_embedding(2, 5, make_rng(1)),
+             "fjlt": lambda: fjlt_embedding(2, 5, make_rng(1)),
+             "identity": lambda: IdentityEmbedding(5)}[kind]()
+        with pytest.raises(ValueError):
+            e.adjoint(np.ones(e.m + 1))
+
+
 @pytest.mark.parametrize("maker", [gaussian_embedding, fjlt_embedding])
 def test_norm_unbiased_over_thousand_seeds(maker):
     x = np.random.default_rng(99).standard_normal(12)

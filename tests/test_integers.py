@@ -10,6 +10,7 @@ import pytest
 
 from modesketch import (
     DenseTensor,
+    IdentityEmbedding,
     SynthSpec,
     cp_als,
     decoupled_ls_slice,
@@ -51,6 +52,8 @@ REJECTED = {
     "gaussian_embedding n": (lambda: gaussian_embedding(2, True, RNG), "n"),
     "fjlt_embedding m": (lambda: fjlt_embedding(8.7, 9, RNG), "m"),
     "fjlt_embedding n": (lambda: fjlt_embedding(1, True, RNG), "n"),
+    "IdentityEmbedding n": (lambda: IdentityEmbedding(2.5), "n"),
+    "IdentityEmbedding bool n": (lambda: IdentityEmbedding(True), "n"),
     "subgaussian n": (lambda: subgaussian_coherence_check(8.7, 2, 2, 3), "n"),
     "subgaussian r": (lambda: subgaussian_coherence_check(8, 2.5, 2, 3), "r"),
     "subgaussian d": (lambda: subgaussian_coherence_check(8, 2, True, 3), "d"),

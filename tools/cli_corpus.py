@@ -73,6 +73,9 @@ CALLS = [
     "gen --shape 5,4,3,6 --rank 2 --seed 11 --out quad.dten",
     "info --input flat.dten",
     "info --input quad.dten",
+    # 2- and 4-mode compressed solves on pulled-back factors.
+    "ls-exp --input flat.dten --cs 0.5 --trials 2 --variant fjlt --out ls.flat.csv",
+    "ls-exp --input quad.dten --cs 0.5 --trials 2 --out ls.quad.csv",
 ]
 
 
