@@ -17,8 +17,8 @@ DFT.  When ``m == n`` the operator is an exact isometry.
 
 Every map also has ``adjoint``, the conjugate transpose applied to a vector
 or to the columns of a matrix: the transposed Gaussian matrix, the
-subsampled DFT's zero-filled inverse transform with the signs and scale
-(under the same GEMM rule as its forward application), and the identity.
+subsampled DFT's zero-filled inverse transform with the signs and scale,
+and the identity.
 Compressed least squares pulls sketched factors back through it.
 
 Real input stays real under a Gaussian map, its adjoint and the identity;
@@ -190,11 +190,9 @@ class FJLTEmbedding:
     def adjoint(self, y) -> np.ndarray:
         """Multiply a vector (or the columns of a matrix) by the conjugate
         transpose: ``scale * signs * (n * ifft)`` of the input zero-filled at
-        ``rows``, or one GEMM with the matrix under the rule of :meth:`apply`."""
+        ``rows``."""
         y = _scalars(y)
         _check_axis(y.shape, 0, self.m)
-        if self._use_gemm(y, 0):
-            return _contract(self._matrix().conj().T, y, 0)
         filled = np.zeros((self.n,) + y.shape[1:], dtype=np.complex128)
         filled[self.rows] = y
         diagonal = (self.signs * self.scale).reshape((self.n,) + (1,) * (y.ndim - 1))
