@@ -10,9 +10,12 @@ design matrix.  Without a second stage neither the design nor the sketched
 tensor is formed: the Gram is the Hadamard product of the sketched factor
 Grams, and the projection is one r-column pass over the tensor against the
 sketched factors pulled back through each map's adjoint (``S^H S A``).
-When the Gram matrix is badly conditioned the solver falls back to an
-SVD-based least-squares solve on the design, and a genuinely rank-deficient
-basis raises :class:`DegenerateBasisError`.
+Several plans solved together, such as the cells of an ``ls-exp`` grid,
+share that pass in blocks: one pass against the column-stacked pulled-back
+factors of a block gives every plan's projection.  When the Gram matrix is
+badly conditioned the solver falls back to an SVD-based least-squares solve
+on the design, and a genuinely rank-deficient basis raises
+:class:`DegenerateBasisError`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -155,14 +159,25 @@ def _solve_ls(gram: np.ndarray, projected: np.ndarray,
     return coeffs.T, cond
 
 
-def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan,
-                 reference: Optional[np.ndarray]) -> LsSolution:
-    """Sketch each rank-one basis tensor factor by factor with ``plan``, then
-    solve.  Without a second stage the tensor is not sketched:
+def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plans: Iterable[SketchPlan],
+                 reference: Optional[np.ndarray]) -> Iterator[list[LsSolution]]:
+    """Solve the problem sketched by each plan, yielding the solutions of
+    one block of consecutive plans at a time.
+
+    Each rank-one basis tensor is sketched factor by factor.  Without a
+    second stage the tensor is not sketched:
     ``(*_l S_l A_l)^H (S_d (x) ... (x) S_1) vec X = (*_l S_l^H S_l A_l)^H vec X``,
-    so the projection is one r-column pass over ``X`` against the sketched
-    factors pulled back through each map's adjoint.  The sketch of ``X`` and
-    the design are formed only for a second stage or the SVD fallback."""
+    so the projection is a pass over ``X`` against the sketched factors
+    pulled back through each map's adjoint.  Column k of that contraction
+    involves only column k of each factor, so the unstaged plans of a block
+    share one pass against their column-stacked pulled-back factors.  A
+    block holds B = max(1, n_c // (2r)) plans, n_c being the extent that
+    :func:`_contract_factors` contracts first, so the pass's first
+    intermediate holds at most half as many entries as ``X``; plans are
+    drawn from ``plans`` one block at a time, and each block's plan shapes
+    are checked before any of its maps is applied.  Every plan keeps its
+    own Gram, solve and fallback; the sketch of ``X`` and the design are
+    formed only for a second stage or the SVD fallback."""
     factors = [np.asarray(f) for f in factors]
     if any(f.ndim != 2 for f in factors) or len({f.shape[1] for f in factors}) > 1:
         raise ValueError(f"factors must be matrices with one column count, got shapes "
@@ -170,12 +185,36 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan
     shape = tuple(f.shape[0] for f in factors)
     if X.shape != shape:
         raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
-    if X.shape != plan.shape:
-        raise ValueError(f"tensor shape {X.shape} does not match plan shape {plan.shape}")
-    sketched = [e.apply(f) for e, f in zip(plan.mode_embeddings, factors)]
+    rank = factors[0].shape[1]
+    n_c = X.shape[0] if X.data.flags.f_contiguous and not X.data.flags.c_contiguous \
+        else X.shape[-1]
+    plans = iter(plans)
+    while block := list(islice(plans, max(1, n_c // max(1, 2 * rank)))):
+        for plan in block:
+            if X.shape != plan.shape:
+                raise ValueError(f"tensor shape {X.shape} does not match plan shape "
+                                 f"{plan.shape}")
+        sketched = [[e.apply(f) for e, f in zip(plan.mode_embeddings, factors)]
+                    for plan in block]
+        unstaged = [k for k, plan in enumerate(block) if plan.second_stage is None]
+        projected = {}
+        if unstaged:
+            pulled = [[e.adjoint(s) for e, s in zip(block[k].mode_embeddings, sketched[k])]
+                      for k in unstaged]
+            stacked = [np.hstack(cols) if len(cols) > 1 else cols[0] for cols in zip(*pulled)]
+            t = _contract_factors(X.data, stacked)[0]
+            projected = {k: t[i * rank:(i + 1) * rank] for i, k in enumerate(unstaged)}
+        yield [_solve_sketched(X, plan, s, projected.get(k), reference)
+               for k, (plan, s) in enumerate(zip(block, sketched))]
+
+
+def _solve_sketched(X: DenseTensor, plan: SketchPlan, sketched: list[np.ndarray],
+                    projected: Optional[np.ndarray],
+                    reference: Optional[np.ndarray]) -> LsSolution:
+    """One plan's solve from its sketched factors and, without a second
+    stage, its projection ``(*_l S_l^H S_l A_l)^H vec X``."""
     if plan.second_stage is None:
-        pulled = [e.adjoint(s) for e, s in zip(plan.mode_embeddings, sketched)]
-        gram, projected = _gram_hadamard(sketched), _contract_factors(X.data, pulled)[0]
+        gram = _gram_hadamard(sketched)
         system = lambda: (khatri_rao_design(sketched),  # noqa: E731
                           vectorize(sketch_modewise(plan, X)))
     else:
@@ -192,7 +231,7 @@ def ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
                     reference: Optional[np.ndarray] = None) -> LsSolution:
     """Best coefficients expressing ``X`` over the rank-one basis given by
     the factor columns: the compressed problem under the identity plan."""
-    return _sketched_ls(X, factors, make_plan(X.shape), reference)
+    return next(_sketched_ls(X, factors, [make_plan(X.shape)], reference))[0]
 
 
 def compressed_ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
@@ -202,7 +241,7 @@ def compressed_ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
     sketched factor by factor, and without a second stage ``X`` is never
     sketched; its projection comes from the factors pulled back through the
     maps' adjoints."""
-    return _sketched_ls(X, factors, plan, reference)
+    return next(_sketched_ls(X, factors, [plan], reference))[0]
 
 
 def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
@@ -223,8 +262,8 @@ def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
                          f"of extent {X.shape[mode]}")
     slice_t = DenseTensor(np.take(X.data, index, axis=mode), copy=False)
     reduced_factors = [f for ell, f in enumerate(factors) if ell != mode]
-    return _sketched_ls(slice_t, reduced_factors, plan or make_plan(slice_t.shape),
-                        None).coefficients
+    return next(_sketched_ls(slice_t, reduced_factors, [plan or make_plan(slice_t.shape)],
+                             None))[0].coefficients
 
 
 @dataclass(frozen=True)

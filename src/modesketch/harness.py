@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cpfit import compressed_ls_coefficients, ls_coefficients
+from .cpfit import _sketched_ls, relative_coefficient_norm
 from .embeddings import _TRIAL_STREAM, derive_seed
 from .sketch import make_plan, sketch_full, sketch_modewise, targets_from_ratio
 from .tensor import DenseTensor, _integer, norm
@@ -111,24 +112,32 @@ def ls_experiment(
 
     The reference coefficients are the exact (unsketched) least-squares
     solution over the given basis; each trial reports the coefficient-norm
-    ratio ``c_n_alpha`` and the relative coefficient error.
+    ratio ``c_n_alpha`` and the relative coefficient error.  The exact
+    solve and the trials are the cells of one :func:`_sketched_ls` call,
+    the exact one first, so the trials share passes over ``X`` in blocks of
+    consecutive cells.  A trial's ``wall_ms`` is its block's elapsed time,
+    plan draws included, divided by the block's cell count.
     """
     grid = _grid(X.shape, cs_values, trials, seed)
-    reference = ls_coefficients(X, factors).coefficients
-    ref_norm = float(np.linalg.norm(reference))
-    if ref_norm == 0.0:
-        raise ValueError("exact least-squares solution is zero; ratios undefined")
-    records = []
-    for cs, t, trial_seed in grid:
-        t0 = time.perf_counter()
-        plan = make_plan(X.shape, cs, variant, seed=trial_seed)
-        solution = compressed_ls_coefficients(X, factors, plan, reference=reference)
-        wall = (time.perf_counter() - t0) * 1e3
-        err = float(np.linalg.norm(solution.coefficients - reference)) / ref_norm
-        records.append(ExperimentRecord("ls/c_n_alpha", cs, t, trial_seed,
-                                        "c_n_alpha", solution.c_n_alpha, wall))
-        records.append(ExperimentRecord("ls/alpha_rel_err", cs, t, trial_seed,
-                                        "alpha_rel_err", err, wall))
+    cells = (make_plan(X.shape, cs, variant, seed=trial_seed) for cs, _, trial_seed in grid)
+    points = iter(grid)
+    records, reference = [], None
+    start = time.perf_counter()
+    for block in _sketched_ls(X, factors, chain([make_plan(X.shape)], cells), None):
+        wall = (time.perf_counter() - start) * 1e3 / len(block)
+        if reference is None:
+            reference, block = block[0].coefficients, block[1:]
+            ref_norm = float(np.linalg.norm(reference))
+            if ref_norm == 0.0:
+                raise ValueError("exact least-squares solution is zero; ratios undefined")
+        for solution, (cs, t, trial_seed) in zip(block, points):
+            ratio = relative_coefficient_norm(solution.coefficients, reference)
+            err = float(np.linalg.norm(solution.coefficients - reference)) / ref_norm
+            records.append(ExperimentRecord("ls/c_n_alpha", cs, t, trial_seed,
+                                            "c_n_alpha", ratio, wall))
+            records.append(ExperimentRecord("ls/alpha_rel_err", cs, t, trial_seed,
+                                            "alpha_rel_err", err, wall))
+        start = time.perf_counter()
     return records
 
 

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modesketch import CpModel, DenseTensor, cp_als
+from modesketch import (CpModel, DenseTensor, SynthSpec, compressed_ls_coefficients, cp_als,
+                        ls_coefficients, make_plan, synthesize)
 from modesketch import cli
 from modesketch.cli import main
-from modesketch.harness import norm_experiment
+from modesketch.harness import ExperimentRecord, _grid, norm_experiment, write_records_csv
 from modesketch.tensorfile import read_sidecar, read_tensor, sidecar_path, write_tensor
 
 RNG = np.random.default_rng(606)
@@ -405,6 +406,40 @@ class TestLsExp:
         first = out.read_bytes()
         assert main(flags) == 0
         assert out.read_bytes() == first
+
+    def test_timing_gives_each_trial_one_positive_wall_time(self, tmp_path):
+        out = tmp_path / "l.csv"
+        assert main(["ls-exp", "--shape", "8,8,8", "--rank", "2", "--gen-seed", "5",
+                     "--cs", "0.4,0.8", "--trials", "3", "--seed", "7", "--timing",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out)
+        walls = {}
+        for r in rows:
+            walls.setdefault((r["c_s"], r["trial"]), set()).add(r["wall_ms"])
+        assert len(walls) == 6
+        assert all(len(w) == 1 and float(min(w)) > 0.0 for w in walls.values())
+
+    def test_untimed_output_is_that_of_separate_solves(self, tmp_path):
+        # an 8x8x3 rank-2 tensor gives one cell per pass over it, so every
+        # cell is the single-plan solve and the CSV matches their loop's bytes
+        out, want = tmp_path / "l.csv", tmp_path / "w.csv"
+        argv = ["ls-exp", "--shape", "8,8,3", "--rank", "2", "--gen-seed", "5",
+                "--cs", "0.4,0.8", "--trials", "3", "--variant", "fjlt", "--seed", "7",
+                "--out", str(out)]
+        assert main(argv) == 0
+        model, X = synthesize(SynthSpec((8, 8, 3), 2, seed=5))
+        reference = ls_coefficients(X, model.factors).coefficients
+        records = []
+        for cs, t, seed in _grid(X.shape, [0.4, 0.8], 3, 7):
+            plan = make_plan(X.shape, cs, "fjlt", seed=seed)
+            sol = compressed_ls_coefficients(X, model.factors, plan, reference)
+            err = float(np.linalg.norm(sol.coefficients - reference) / np.linalg.norm(reference))
+            records += [ExperimentRecord("ls/c_n_alpha", cs, t, seed, "c_n_alpha",
+                                         sol.c_n_alpha, 0.0),
+                        ExperimentRecord("ls/alpha_rel_err", cs, t, seed, "alpha_rel_err",
+                                         err, 0.0)]
+        write_records_csv(want, "modesketch " + " ".join(argv), records)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_exact_rank_data_recovers_at_partial_compression(self, tmp_path):
         out = tmp_path / "l.csv"

@@ -29,9 +29,14 @@ from modesketch import (
     unfold,
     vectorize,
 )
+from modesketch import cpfit
+from modesketch.cli import main
 from modesketch.cpfit import (GRAM_COND_LIMIT, GRAM_ERROR_FLOOR, _contract_factors,
-                              _gram_hadamard)
+                              _gram_hadamard, _sketched_ls)
+from modesketch.embeddings import FJLTEmbedding, GaussianEmbedding, IdentityEmbedding
+from modesketch.harness import ls_experiment
 from modesketch.tensor import khatri_rao_design
+from modesketch.tensorfile import write_tensor
 
 from helpers import rel_err
 
@@ -395,6 +400,185 @@ def test_unstaged_solves_sketch_no_tensor(solve, monkeypatch):
     with pytest.raises(AssertionError, match="sketched the tensor"):
         compressed_ls_coefficients(X, model.factors,
                                    make_plan(X.shape, 0.5, second_stage=(40, "gaussian")))
+
+
+def block_size(data, rank):
+    """Plans per shared pass: the extent ``_contract_factors`` contracts first
+    over twice the rank."""
+    f_only = data.flags.f_contiguous and not data.flags.c_contiguous
+    return max(1, (data.shape[0] if f_only else data.shape[-1]) // (2 * rank))
+
+
+def grid_plans(shape, cells, variant, targets=0.6, seed=0):
+    """The exact plan followed by ``cells - 1`` sketched plans, as ls_experiment
+    lays out its grid."""
+    return [make_plan(shape), *(make_plan(shape, targets, variant, seed=derive_seed(seed, k))
+                                for k in range(cells - 1))]
+
+
+def assert_matches_separate_solves(got, X, factors, plans):
+    assert len(got) == len(plans)
+    for solution, plan in zip(got, plans):
+        want = compressed_ls_coefficients(X, factors, plan)
+        scale = np.abs(want.coefficients).max()
+        assert np.abs(solution.coefficients - want.coefficients).max() <= 1e-12 * scale
+        assert solution.gram_cond == want.gram_cond
+
+
+class TestGridSolve:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", [(6, 3), (9, 14), (8, 6, 10), (5, 4, 3, 12)])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
+    def test_blocks_match_separate_solves(self, shape, layout, kind, variant):
+        # (6, 3) and the F-ordered 4-mode tensor take one plan per pass; the
+        # others take 2 or 3, and 2B + 1 cells leave a partial last block
+        model, T = synthesize(SynthSpec(shape, 2, "gaussian", seed=len(shape)))
+        rng = np.random.default_rng(50 + len(shape))
+        wide = (2 * shape[0],) + shape[1:]
+        noise = rng.standard_normal(wide)
+        if kind == "complex":
+            noise = noise + 1j * rng.standard_normal(wide)
+        data = np.concatenate([T.data, T.data]) + 0.3 * noise
+        data = {"C": np.ascontiguousarray(data[::2]), "F": np.asfortranarray(data[::2]),
+                "strided": data[::2]}[layout]
+        X = DenseTensor(data, copy=False)
+        B = block_size(data, 2)
+        for cells in (2 * B, 2 * B + 1):
+            plans = grid_plans(shape, cells, variant, seed=cells)
+            blocks = list(_sketched_ls(X, model.factors, iter(plans), None))
+            assert [len(b) for b in blocks] == [B] * (cells // B) + [cells % B] * (cells % B > 0)
+            assert_matches_separate_solves([s for b in blocks for s in b], X, model.factors,
+                                           plans)
+
+    def test_staged_plans_keep_their_own_solve(self):
+        model, T = synthesize(SynthSpec((8, 6, 10), 2, "gaussian", seed=3))
+        X = T + 0.2 * DenseTensor(np.random.default_rng(3).standard_normal(T.shape))
+        plans = grid_plans(X.shape, 5, "fjlt")
+        plans[2] = make_plan(X.shape, 0.6, "gaussian", (30, "fjlt"), seed=9)
+        got = [s for b in _sketched_ls(X, model.factors, plans, None) for s in b]
+        assert_matches_separate_solves(got, X, model.factors, plans)
+
+    def test_ill_conditioned_cells_each_fall_back(self):
+        rng = np.random.default_rng(12)
+        factors = []
+        for n in (8, 7, 12):
+            v, w = rng.standard_normal(n), rng.standard_normal(n)
+            factors.append(np.column_stack([v, v + 1e-5 * w]))
+        X = DenseTensor(rng.standard_normal((8, 7, 12)))
+        plans = grid_plans(X.shape, 7, "gaussian")
+        blocks = list(_sketched_ls(X, factors, plans, None))
+        assert len(blocks) == 3
+        got = [s for b in blocks for s in b]
+        assert all(s.gram_cond > GRAM_COND_LIMIT for s in got)
+        assert_matches_separate_solves(got, X, factors, plans)
+
+    @pytest.mark.parametrize("cells", [1, 3, 7, 21])
+    def test_one_contraction_per_block(self, cells, monkeypatch):
+        model, X = synthesize(SynthSpec((20, 8, 12), 2, "gaussian", seed=5))
+        calls = []
+        monkeypatch.setattr(cpfit, "_contract_factors",
+                            lambda *args: calls.append(1) or _contract_factors(*args))
+        plans = grid_plans(X.shape, cells, "fjlt")
+        assert sum(len(b) for b in _sketched_ls(X, model.factors, plans, None)) == cells
+        assert len(calls) == -(-cells // 3)
+
+    def test_single_plan_solves_make_one_contraction(self, monkeypatch):
+        model, X = synthesize(SynthSpec((20, 8, 12), 2, "gaussian", seed=5))
+        calls = []
+        monkeypatch.setattr(cpfit, "_contract_factors",
+                            lambda *args: calls.append(1) or _contract_factors(*args))
+        ls_coefficients(X, model.factors)
+        compressed_ls_coefficients(X, model.factors, make_plan(X.shape, 0.5, seed=1))
+        decoupled_ls_slice(X, model.factors, 1, 2)
+        assert len(calls) == 3
+
+    def test_ls_experiment_makes_one_contraction_per_block(self, monkeypatch):
+        # the benchmark's ls-exp: 60^3 rank 5, 21 cells, six per pass
+        model, X = synthesize(SynthSpec((60, 60, 60), 5, "gaussian", seed=6))
+        calls = []
+        monkeypatch.setattr(cpfit, "_contract_factors",
+                            lambda *args: calls.append(1) or _contract_factors(*args))
+        assert len(ls_experiment(X, model.factors, [0.2, 0.4], 10, seed=7)) == 40
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_plan_shape_checked_before_any_apply(self, bad, monkeypatch):
+        model, X = synthesize(SynthSpec((6, 5, 12), 2, "gaussian", seed=8))
+        plans = grid_plans(X.shape, 3, "gaussian")
+        assert block_size(X.data, 2) == 3
+        plans[bad] = make_plan((6, 5, 11), 0.5, seed=1)
+        applied = []
+        for cls in (GaussianEmbedding, FJLTEmbedding, IdentityEmbedding):
+            original = cls.apply
+            monkeypatch.setattr(cls, "apply", lambda self, x, f=original: applied.append(1)
+                                or f(self, x))
+        with pytest.raises(ValueError, match=r"tensor shape \(6, 5, 12\) does not match plan "
+                                             r"shape \(6, 5, 11\)"):
+            list(_sketched_ls(X, model.factors, plans, None))
+        assert applied == []
+
+    def test_plan_shape_checked_in_a_later_block(self):
+        model, X = synthesize(SynthSpec((6, 5, 12), 2, "gaussian", seed=8))
+        plans = grid_plans(X.shape, 5, "gaussian")
+        plans[4] = make_plan((6, 5, 11), 0.5, seed=1)
+        with pytest.raises(ValueError, match=r"does not match plan shape \(6, 5, 11\)"):
+            list(_sketched_ls(X, model.factors, plans, None))
+
+    def test_degenerate_basis_raises_before_any_trial(self, tmp_path, capsys):
+        v, w = RNG.standard_normal(6), RNG.standard_normal(5)
+        factors = (np.column_stack([v, v]), np.column_stack([w, w]))
+        X = DenseTensor(RNG.standard_normal((6, 5)))
+        with pytest.raises(DegenerateBasisError, match=r"design matrix is rank deficient "
+                                                       r"\(rank 1 < 2\)"):
+            ls_experiment(X, factors, [0.5], 3)
+        # a 2x2 tensor spans at most 4 rank-one basis tensors, not 5
+        gen, out = tmp_path / "g.dten", tmp_path / "l.csv"
+        assert main(["gen", "--shape", "2,2", "--rank", "5", "--out", str(gen)]) == 0
+        capsys.readouterr()
+        assert main(["ls-exp", "--input", str(gen), "--cs", "0.5", "--trials", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: design matrix is rank deficient (rank 4 < 5); the basis tensors are "
+            "numerically dependent\n")
+        assert not out.exists()
+
+    def test_non_finite_data_raises(self):
+        model, X = synthesize(SynthSpec((6, 5, 4), 2, "gaussian", seed=21))
+        data = X.data.copy()
+        data[1, 2, 3] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite values in a least-squares problem"):
+            ls_experiment(DenseTensor(data), model.factors, [0.5], 3)
+
+    def test_zero_reference_raises(self, tmp_path, capsys):
+        model, X = synthesize(SynthSpec((6, 5, 4), 2, "gaussian", seed=22))
+        with pytest.raises(ValueError, match="exact least-squares solution is zero"):
+            ls_experiment(DenseTensor.zeros(X.shape), model.factors, [0.5], 3)
+        # the sidecar still describes the basis once zeros overwrite the data
+        gen, out = tmp_path / "g.dten", tmp_path / "l.csv"
+        assert main(["gen", "--shape", "6,5,4", "--rank", "2", "--out", str(gen)]) == 0
+        write_tensor(gen, DenseTensor.zeros(X.shape))
+        capsys.readouterr()
+        assert main(["ls-exp", "--input", str(gen), "--cs", "0.5", "--trials", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: exact least-squares solution is zero; ratios undefined\n")
+        assert not out.exists()
+
+    def test_ls_experiment_memory_is_bounded(self):
+        # the first intermediate of a shared pass holds at most half of X's
+        # entries, and a block's plans are released before the next are drawn
+        model, X = synthesize(SynthSpec((60, 60, 60), 5, "gaussian", seed=6))
+        peaks = []
+        for trials in (10, 50):
+            tracemalloc.start()
+            try:
+                ls_experiment(X, model.factors, [0.2, 0.4], trials, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.25 * X.data.nbytes
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestDecoupledSlices:

@@ -76,6 +76,11 @@ CALLS = [
     # 2- and 4-mode compressed solves on pulled-back factors.
     "ls-exp --input flat.dten --cs 0.5 --trials 2 --variant fjlt --out ls.flat.csv",
     "ls-exp --input quad.dten --cs 0.5 --trials 2 --out ls.quad.csv",
+    # Grids sharing passes over X: 13 cells two to a pass, so the last pass
+    # holds one, on complex pulled-back factors; then one cell per pass on 4 modes.
+    "ls-exp --input cube.dten --cs 0.2,0.5,0.8 --trials 4 --variant fjlt --seed 3 "
+    "--out ls.grid.csv",
+    "ls-exp --input quad.dten --cs 0.5,0.9 --trials 3 --variant fjlt --out ls.quad.grid.csv",
 ]
 
 
