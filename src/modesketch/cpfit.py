@@ -201,6 +201,7 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plans: Iterable[
         if unstaged:
             pulled = [[e.adjoint(s) for e, s in zip(block[k].mode_embeddings, sketched[k])]
                       for k in unstaged]
+            # A lone plan's factors go in as they are: its solve is the unbatched one.
             stacked = [np.hstack(cols) if len(cols) > 1 else cols[0] for cols in zip(*pulled)]
             t = _contract_factors(X.data, stacked)[0]
             projected = {k: t[i * rank:(i + 1) * rank] for i, k in enumerate(unstaged)}

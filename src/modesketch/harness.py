@@ -113,10 +113,10 @@ def ls_experiment(
     The reference coefficients are the exact (unsketched) least-squares
     solution over the given basis; each trial reports the coefficient-norm
     ratio ``c_n_alpha`` and the relative coefficient error.  The exact
-    solve and the trials are the cells of one :func:`_sketched_ls` call,
-    the exact one first, so the trials share passes over ``X`` in blocks of
-    consecutive cells.  A trial's ``wall_ms`` is its block's elapsed time,
-    plan draws included, divided by the block's cell count.
+    solve comes first and the trials follow, all solved in blocks of
+    consecutive cells that share one pass over ``X``.  A trial's
+    ``wall_ms`` is its block's elapsed time, plan draws included, divided
+    by the block's cell count.
     """
     grid = _grid(X.shape, cs_values, trials, seed)
     cells = (make_plan(X.shape, cs, variant, seed=trial_seed) for cs, _, trial_seed in grid)
