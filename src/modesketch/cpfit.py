@@ -186,8 +186,8 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plans: Iterable[
     if X.shape != shape:
         raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
     rank = factors[0].shape[1]
-    n_c = X.shape[0] if X.data.flags.f_contiguous and not X.data.flags.c_contiguous \
-        else X.shape[-1]
+    f_order = X.data.flags.f_contiguous and not X.data.flags.c_contiguous
+    n_c = X.shape[0] if f_order else X.shape[-1]  # the extent contracted first
     plans = iter(plans)
     while block := list(islice(plans, max(1, n_c // max(1, 2 * rank)))):
         for plan in block:
