@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .diagnostics import CpModel, draw_unit_factors
-from .embeddings import _SWEEP_STREAM, IdentityEmbedding, derive_seed, make_rng
-from .sketch import SketchPlan, make_plan, sketch_modewise
+from .embeddings import _SWEEP_STREAM, derive_seed, make_rng
+from .sketch import SketchPlan, _sketch_all_but_one, make_plan, sketch_modewise
 from .tensor import (DenseTensor, _check_axis, _contract, _integer, _shape, khatri_rao_design,
                      norm, unfold, vectorize)
 
@@ -325,22 +325,27 @@ def cp_als(
 
     Every sweep draws ``make_plan(X.shape, compression, variant)`` from a
     seed derived from ``seed`` and sketches each subproblem modewise over
-    the fixed modes: :func:`sketch_modewise` on the plan with the updated
-    mode's map replaced by the identity, so the fixed modes are applied in
-    the sketch's cost order, not in the update order.  ``compression`` is
-    a ratio or per-mode target dims; ``None`` gives the identity plan,
-    which is the exact problem.  Sketched sweeps trade monotonicity of the
-    objective for speed.
+    the fixed modes.  The fixed modes are applied in the plan's cost order,
+    not in the update order, and the sweep's d targets come from one walk
+    of that order that shares its prefixes between them; each target equals
+    :func:`sketch_modewise` on the plan with the updated mode's map replaced
+    by the identity.  ``compression`` is a ratio or per-mode target dims;
+    ``None`` gives the identity plan, which is the exact problem.  Sketched
+    sweeps trade monotonicity of the objective for speed.  Data with a
+    non-finite norm (a NaN or infinite entry, or squares that overflow) is
+    rejected before the first sweep.
     """
     rank, max_iters = _integer(rank, "rank"), _integer(max_iters, "max_iters")
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
     if X.ndim < 2:
         raise ValueError("alternating least squares needs at least two modes")
-    norm_x = norm(X)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below as inf
+        norm_x = norm(X)
     if norm_x == 0.0:
         raise ValueError("cannot fit a zero tensor")
-    d = X.ndim
+    if not math.isfinite(norm_x):
+        raise ValueError(f"cannot fit a tensor of norm {norm_x}")
 
     rng = make_rng(derive_seed(seed, _SWEEP_STREAM, 0))
     factors, weights = list(draw_unit_factors(X.shape, rank, rng)), np.ones(rank)
@@ -351,11 +356,13 @@ def cp_als(
     for sweep in range(max_iters):
         plan = make_plan(X.shape, compression, variant,
                          seed=derive_seed(seed, _SWEEP_STREAM, sweep + 1))
-        for j in range(d):
-            maps = list(plan.mode_embeddings)
-            maps[j] = IdentityEmbedding(X.shape[j])
-            target = sketch_modewise(replace(plan, mode_embeddings=tuple(maps)), X)
-            others = [e.apply(f) for ell, (e, f) in enumerate(zip(maps, factors)) if ell != j]
+        # next(), not enumerate(), which would hold each target through the
+        # next one's sketch.
+        targets = _sketch_all_but_one(plan, X)
+        for j in range(X.ndim):
+            target = next(targets)
+            others = [e.apply(f) for ell, (e, f) in enumerate(zip(plan.mode_embeddings, factors))
+                      if ell != j]
             design, rows = khatri_rao_design(others), unfold(target, j)
             gram, projected = _gram_hadamard(others), (rows @ design.conj()).T
             W = _solve_ls(gram, projected, lambda: (design, rows))[0]
@@ -364,6 +371,7 @@ def cp_als(
             safe = np.where(norms > 0.0, norms, 1.0)
             factors[j] = W / safe
             weights = norms
+        del targets  # drops the held prefix before the error check
 
         err = _gram_error(X, norm_x, weights, factors)
         if (err < GRAM_ERROR_FLOOR or sweep == max_iters - 1

@@ -5,13 +5,18 @@ stage acting on the vectorized intermediate tensor.  A plan is a pure
 function of ``(shape, targets, variant, second stage, seed)``: per-mode
 seeds are derived from the master seed with a fixed mix, so a short text
 descriptor is enough to replay any experiment.
+
+Modewise sketches apply the maps in one cost order.  CP-ALS needs, for
+each mode j, the sketch over every mode but j; those d sketches are taken
+in one walk that shares the order's prefixes between them, and each equals
+the modewise sketch with mode j's map replaced by the identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -212,10 +217,39 @@ def sketch_modewise(plan: SketchPlan, X: DenseTensor) -> DenseTensor:
     """
     if X.shape != plan.shape:
         raise ValueError(f"tensor shape {X.shape} does not match plan shape {plan.shape}")
-    out = X
-    for mode in _cost_order(plan.mode_embeddings):
-        out = plan.mode_embeddings[mode].apply_to_mode(out, mode)
-    return out
+    return _apply_modes(plan, X, _cost_order(plan.mode_embeddings))
+
+
+def _apply_modes(plan: SketchPlan, X: DenseTensor, modes: Sequence[int]) -> DenseTensor:
+    """The plan's maps for ``modes`` applied to ``X`` one after another."""
+    for mode in modes:
+        X = plan.mode_embeddings[mode].apply_to_mode(X, mode)
+    return X
+
+
+def _sketch_all_but_one(plan: SketchPlan, X: DenseTensor) -> Iterator[DenseTensor]:
+    """Yield ``X`` sketched on every mode except j, for j = 0 .. d-1 in turn.
+
+    Target j is :func:`sketch_modewise` of the plan with mode j's map
+    replaced by the identity, computed by the same operations: the identity
+    has cost key 0 and the sort is stable, so that chain is the plan's cost
+    order with j left out.  Consecutive targets share the prefix of the
+    order before the mode they leave out, so one prefix is held between
+    targets: extended when the next target's is longer, restarted from
+    ``X`` when it is shorter.  On an ascending order (uniform shapes) that
+    makes (d-1) + d(d-1)/2 mode products where separate sketches make
+    d(d-1), and no order makes more.
+    """
+    if X.shape != plan.shape:
+        raise ValueError(f"tensor shape {X.shape} does not match plan shape {plan.shape}")
+    order = _cost_order(plan.mode_embeddings)
+    prefix, held = X, 0  # X with the first `held` maps of the order applied
+    for j in range(plan.ndim):
+        cut = order.index(j)
+        if cut < held:
+            prefix, held = X, 0
+        prefix, held = _apply_modes(plan, prefix, order[held:cut]), cut
+        yield _apply_modes(plan, prefix, order[cut + 1:])
 
 
 def sketch_full(plan: SketchPlan, X: DenseTensor) -> np.ndarray:

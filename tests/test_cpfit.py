@@ -3,6 +3,8 @@ solves, CP-ALS, and the relative-norm metrics."""
 
 import math
 import tracemalloc
+import warnings
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -24,6 +26,7 @@ from modesketch import (
     relative_coefficient_norm,
     relative_norm,
     relative_reconstruction_error,
+    sketch_modewise,
     synthesize,
     targets_from_ratio,
     unfold,
@@ -753,21 +756,25 @@ class TestCpAls:
         assert all(fa.tobytes() == fb.tobytes() for fa, fb in zip(a.factors, b.factors))
         assert [h.e_cpd for h in ha] == [h.e_cpd for h in hb]
 
-    def test_non_finite_objective_aborts(self):
-        data = RNG.standard_normal((4, 4, 4))
-        data[1, 2, 3] = np.nan
-        with pytest.raises(RuntimeError):
-            cp_als(DenseTensor(data), 1, max_iters=5, seed=1)
+    @pytest.mark.parametrize("entry, shown", [(np.nan, "nan"), (np.inf, "inf"),
+                                              (-np.inf, "inf"), (1e200, "inf")],
+                             ids=["nan", "inf", "-inf", "overflow"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_non_finite_data_rejected_before_any_plan(self, entry, shown, dtype, monkeypatch):
+        data = RNG.standard_normal((4, 4, 4)).astype(dtype)
+        data[1, 2, 3] = entry  # 1e200 is finite, but its square overflows the norm
+        plans = []
 
-    def test_non_finite_data_fails_at_first_update(self, monkeypatch):
-        data = RNG.standard_normal((4, 4, 4))
-        data[1, 2, 3] = np.nan
-        modes = []
-        monkeypatch.setattr("modesketch.cpfit.unfold",
-                            lambda X, j: modes.append(j) or unfold(X, j))
-        with pytest.raises(RuntimeError, match="non-finite values in a least-squares problem"):
-            cp_als(DenseTensor(data), 1, max_iters=5, seed=1)
-        assert modes == [0]
+        def recording(*args, **kwargs):
+            plans.append(args)
+            return make_plan(*args, **kwargs)
+
+        monkeypatch.setattr("modesketch.cpfit.make_plan", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^cannot fit a tensor of norm {shown}$"):
+                cp_als(DenseTensor(data), 1, max_iters=5, seed=1, compression=0.5)
+        assert plans == []
 
     def test_nan_tolerance_rejected(self):
         _, X = synthesize(SynthSpec((4, 4), 1, "gaussian", seed=36))
@@ -775,6 +782,53 @@ class TestCpAls:
             cp_als(X, 1, tol=np.nan)
         _, history = cp_als(X, 1, max_iters=3, tol=-np.inf)
         assert len(history) == 3
+
+    @pytest.mark.parametrize("shape, compression, variant, per_sweep", [
+        ((20, 20, 20), 0.5, "gaussian", 5),  # (d-1) + d(d-1)/2, where separate sketches make 6
+        ((6, 6, 6, 6), 0.5, "fjlt", 9),      # ... and 12
+        ((5, 4, 3, 6), 0.5, "fjlt", 11),     # cost order [1, 2, 3, 0]
+        ((10, 9, 8), None, "gaussian", 0),   # the identity plan sketches nothing
+    ])
+    def test_sweeps_share_partial_sketches(self, shape, compression, variant, per_sweep,
+                                           monkeypatch):
+        modes = []
+        for cls in (GaussianEmbedding, FJLTEmbedding):
+            def counting(self, X, mode, original=cls.apply_to_mode):
+                modes.append(mode)
+                return original(self, X, mode)
+
+            monkeypatch.setattr(cls, "apply_to_mode", counting)
+        X = DenseTensor(np.random.default_rng(44).standard_normal(shape))
+        _, history = cp_als(X, 2, max_iters=3, tol=-np.inf, seed=45,
+                            compression=compression, variant=variant)
+        assert len(history) == 3
+        assert len(modes) == 3 * per_sweep
+
+    def test_shared_prefix_bounds_the_peak(self, monkeypatch):
+        """A sketched FJLT fit holds at most one prefix, the first map's
+        output, more than a fit that sketches every mode update separately."""
+        _, X = synthesize(SynthSpec((60, 60, 60), 8, "gaussian", seed=1))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                cp_als(X, 8, max_iters=2, tol=-np.inf, seed=3, compression=0.5,
+                       variant="fjlt")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        shared = peak()
+
+        def separate(plan, X):
+            for j in range(X.ndim):
+                maps = list(plan.mode_embeddings)
+                maps[j] = IdentityEmbedding(X.shape[j])
+                yield sketch_modewise(replace(plan, mode_embeddings=tuple(maps)), X)
+
+        monkeypatch.setattr(cpfit, "_sketch_all_but_one", separate)
+        prefix_bytes = 30 * 60 * 60 * 16  # complex128 after one 60 -> 30 FJLT map
+        assert shared <= peak() + prefix_bytes
 
 
 FIT_VARIANTS = [(None, "gaussian"), (0.5, "gaussian"), (0.5, "fjlt")]

@@ -33,8 +33,8 @@ from modesketch import (
     vector_subspace_sketch,
     vectorize,
 )
-from modesketch.embeddings import GaussianEmbedding, IdentityEmbedding
-from modesketch.sketch import _cost_order
+from modesketch.embeddings import FJLTEmbedding, GaussianEmbedding, IdentityEmbedding
+from modesketch.sketch import _cost_order, _sketch_all_but_one
 
 from helpers import layouts, random_tensor, rel_err
 
@@ -319,6 +319,110 @@ class TestCostOrder:
         got = vectorize(sketch_modewise(plan, X))
         assert rel_err(got, dense_operator(plan) @ vectorize(X)) < 1e-10
 
+
+
+def without_mode(plan, j):
+    """The plan with mode j's map replaced by the identity."""
+    maps = list(plan.mode_embeddings)
+    maps[j] = IdentityEmbedding(plan.shape[j])
+    return dataclasses.replace(plan, mode_embeddings=tuple(maps))
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The modes of the Gaussian and FJLT mode products made, in call order."""
+    made = []
+    for cls in (GaussianEmbedding, FJLTEmbedding):
+        def counting(self, X, mode, original=cls.apply_to_mode):
+            made.append(mode)
+            return original(self, X, mode)
+
+        monkeypatch.setattr(cls, "apply_to_mode", counting)
+    return made
+
+
+class TestSketchAllButOne:
+    """Target j equals the modewise sketch with mode j's map replaced by the
+    identity, byte for byte, while consecutive targets share prefixes."""
+
+    @staticmethod
+    def assert_targets_are_the_separate_sketches(plan, X):
+        targets = list(_sketch_all_but_one(plan, X))
+        assert len(targets) == plan.ndim
+        for j, got in enumerate(targets):
+            want = sketch_modewise(without_mode(plan, j), X).data
+            assert got.data.dtype == want.dtype and got.data.shape == want.shape
+            assert got.data.strides == want.strides
+            assert got.data.tobytes(order="A") == want.tobytes(order="A")
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("variant", ["gaussian", "fjlt", "identity"])
+    @pytest.mark.parametrize("shape", [(9, 7), (8, 8, 8), (40, 8, 6), (6, 40, 8),
+                                       (5, 4, 3, 6), (6, 6, 6, 6)])
+    def test_targets_are_the_separate_sketches(self, shape, variant, layout):
+        targets = None if variant == "identity" else 0.5
+        plan = make_plan(shape, targets, variant, seed=11)
+        for complex_entries in (False, True):
+            X = DenseTensor(layouts(RNG, shape, complex_entries)[layout], copy=False)
+            self.assert_targets_are_the_separate_sketches(plan, X)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape, targets, variant", [
+        ((5, 6, 7, 4), (None, 3, 7, 8), "gaussian"),   # identity, m < n, m = n, m > n
+        ((5, 6, 7, 4), (5, None, 2, 4), "fjlt"),
+        ((12, 3, 9), (14, 2, None), "gaussian"),
+        ((7, 11), (None, 11), "fjlt"),
+    ])
+    def test_explicit_targets_are_the_separate_sketches(self, shape, targets, variant, layout):
+        plan = make_plan(shape, targets, variant, seed=12)
+        for complex_entries in (False, True):
+            X = DenseTensor(layouts(RNG, shape, complex_entries)[layout], copy=False)
+            self.assert_targets_are_the_separate_sketches(plan, X)
+
+    def test_identity_plan_yields_x_itself(self, products):
+        X = random_tensor(RNG, (4, 5, 6))
+        assert all(t is X for t in _sketch_all_but_one(make_plan(X.shape), X))
+        assert products == []
+
+    @pytest.mark.parametrize("shape, variant, order, count", [
+        ((20, 20, 20), "gaussian", [0, 1, 2], 5),
+        ((6, 6, 6, 6), "fjlt", [0, 1, 2, 3], 9),
+        ((5, 4, 3, 6), "fjlt", [1, 2, 3, 0], 11),
+        ((6, 30, 10), "fjlt", [0, 2, 1], 6),     # restarts once
+        ((40, 12, 8), "gaussian", [2, 1, 0], 6),  # descending: nothing shared
+        ((9, 7), "gaussian", [1, 0], 2),
+    ])
+    def test_products_made(self, shape, variant, order, count, products):
+        plan = make_plan(shape, 0.5, variant, seed=13)
+        assert _cost_order(plan.mode_embeddings) == order
+        d = len(shape)
+        if order == sorted(order):
+            assert count == (d - 1) + d * (d - 1) // 2
+        list(_sketch_all_but_one(plan, random_tensor(RNG, shape, complex_entries=False)))
+        assert len(products) == count <= d * (d - 1)
+
+    def test_never_more_products_than_separate_sketches(self, products):
+        rng = np.random.default_rng(14)
+        for trial in range(60):
+            shape = tuple(int(n) for n in rng.integers(2, 9, size=rng.integers(2, 5)))
+            variant = ("gaussian", "fjlt")[trial % 2]
+            high = 12 if variant == "gaussian" else None
+            targets = [None if rng.random() < 0.2 else int(rng.integers(1, (high or n) + 1))
+                       for n in shape]
+            plan = make_plan(shape, targets, variant, seed=trial)
+            X = random_tensor(RNG, shape, complex_entries=False)
+            list(_sketch_all_but_one(plan, X))
+            shared = len(products)
+            products.clear()
+            for j in range(plan.ndim):
+                sketch_modewise(without_mode(plan, j), X)
+            assert shared <= len(products) <= plan.ndim * (plan.ndim - 1)
+            products.clear()
+
+    def test_shape_mismatch(self):
+        plan = make_plan((6, 5), (2, 3), "gaussian")
+        with pytest.raises(ValueError, match="does not match plan shape"):
+            next(_sketch_all_but_one(plan, random_tensor(RNG, (6, 6))))
 
 class TestSketchFull:
     def test_identity_stages_give_vectorization(self):

@@ -81,6 +81,13 @@ CALLS = [
     "ls-exp --input cube.dten --cs 0.2,0.5,0.8 --trials 4 --variant fjlt --seed 3 "
     "--out ls.grid.csv",
     "ls-exp --input quad.dten --cs 0.5,0.9 --trials 3 --variant fjlt --out ls.quad.grid.csv",
+    # Sketched fits whose cost order is not ascending: 4 modes in the order
+    # [1, 2, 3, 0], and [0, 2, 1], where a later mode update restarts its
+    # partial sketch from the data.
+    "cpals --input quad.dten --rank 2 --iters 4 --tol=-inf --cs 0.5 --variant fjlt --seed 4 "
+    "--out-prefix fit.quad",
+    "cpals --input mid.dten --rank 2 --iters 4 --tol=-inf --cs 0.5 --variant fjlt --seed 2 "
+    "--out-prefix fit.mid.fjlt",
 ]
 
 
