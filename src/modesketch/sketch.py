@@ -240,8 +240,6 @@ def _sketch_all_but_one(plan: SketchPlan, X: DenseTensor) -> Iterator[DenseTenso
     makes (d-1) + d(d-1)/2 mode products where separate sketches make
     d(d-1), and no order makes more.
     """
-    if X.shape != plan.shape:
-        raise ValueError(f"tensor shape {X.shape} does not match plan shape {plan.shape}")
     order = _cost_order(plan.mode_embeddings)
     prefix, held = X, 0  # X with the first `held` maps of the order applied
     for j in range(plan.ndim):
