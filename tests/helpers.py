@@ -1,8 +1,11 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
 from modesketch import DenseTensor
+from modesketch.embeddings import FJLTEmbedding, GaussianEmbedding, IdentityEmbedding
 
 
 def rel_err(a, b) -> float:
@@ -40,3 +43,23 @@ def random_matrix(rng, m, n, complex_entries=True) -> np.ndarray:
     if complex_entries:
         data = data + 1j * rng.standard_normal((m, n))
     return data
+
+
+def without_mode(plan, j):
+    """The plan with mode j's map replaced by the identity."""
+    maps = list(plan.mode_embeddings)
+    maps[j] = IdentityEmbedding(plan.shape[j])
+    return dataclasses.replace(plan, mode_embeddings=tuple(maps))
+
+
+def record_mode_products(monkeypatch) -> list:
+    """Patch the Gaussian and FJLT ``apply_to_mode``; the returned list
+    gets the mode of every mode product made, in call order."""
+    made = []
+    for cls in (GaussianEmbedding, FJLTEmbedding):
+        def recording(self, X, mode, original=cls.apply_to_mode):
+            made.append(mode)
+            return original(self, X, mode)
+
+        monkeypatch.setattr(cls, "apply_to_mode", recording)
+    return made

@@ -4,7 +4,6 @@ solves, CP-ALS, and the relative-norm metrics."""
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -41,7 +40,7 @@ from modesketch.harness import ls_experiment
 from modesketch.tensor import khatri_rao_design
 from modesketch.tensorfile import write_tensor
 
-from helpers import rel_err
+from helpers import record_mode_products, rel_err, without_mode
 
 RNG = np.random.default_rng(311)
 
@@ -791,13 +790,7 @@ class TestCpAls:
     ])
     def test_sweeps_share_partial_sketches(self, shape, compression, variant, per_sweep,
                                            monkeypatch):
-        modes = []
-        for cls in (GaussianEmbedding, FJLTEmbedding):
-            def counting(self, X, mode, original=cls.apply_to_mode):
-                modes.append(mode)
-                return original(self, X, mode)
-
-            monkeypatch.setattr(cls, "apply_to_mode", counting)
+        modes = record_mode_products(monkeypatch)
         X = DenseTensor(np.random.default_rng(44).standard_normal(shape))
         _, history = cp_als(X, 2, max_iters=3, tol=-np.inf, seed=45,
                             compression=compression, variant=variant)
@@ -822,9 +815,7 @@ class TestCpAls:
 
         def separate(plan, X):
             for j in range(X.ndim):
-                maps = list(plan.mode_embeddings)
-                maps[j] = IdentityEmbedding(X.shape[j])
-                yield sketch_modewise(replace(plan, mode_embeddings=tuple(maps)), X)
+                yield sketch_modewise(without_mode(plan, j), X)
 
         monkeypatch.setattr(cpfit, "_sketch_all_but_one", separate)
         prefix_bytes = 30 * 60 * 60 * 16  # complex128 after one 60 -> 30 FJLT map

@@ -33,10 +33,10 @@ from modesketch import (
     vector_subspace_sketch,
     vectorize,
 )
-from modesketch.embeddings import FJLTEmbedding, GaussianEmbedding, IdentityEmbedding
+from modesketch.embeddings import GaussianEmbedding, IdentityEmbedding
 from modesketch.sketch import _cost_order, _sketch_all_but_one
 
-from helpers import layouts, random_tensor, rel_err
+from helpers import layouts, random_tensor, record_mode_products, rel_err, without_mode
 
 RNG = np.random.default_rng(55351)
 
@@ -320,25 +320,9 @@ class TestCostOrder:
         assert rel_err(got, dense_operator(plan) @ vectorize(X)) < 1e-10
 
 
-
-def without_mode(plan, j):
-    """The plan with mode j's map replaced by the identity."""
-    maps = list(plan.mode_embeddings)
-    maps[j] = IdentityEmbedding(plan.shape[j])
-    return dataclasses.replace(plan, mode_embeddings=tuple(maps))
-
-
 @pytest.fixture
 def products(monkeypatch):
-    """The modes of the Gaussian and FJLT mode products made, in call order."""
-    made = []
-    for cls in (GaussianEmbedding, FJLTEmbedding):
-        def counting(self, X, mode, original=cls.apply_to_mode):
-            made.append(mode)
-            return original(self, X, mode)
-
-        monkeypatch.setattr(cls, "apply_to_mode", counting)
-    return made
+    return record_mode_products(monkeypatch)
 
 
 class TestSketchAllButOne:
@@ -418,6 +402,7 @@ class TestSketchAllButOne:
                 sketch_modewise(without_mode(plan, j), X)
             assert shared <= len(products) <= plan.ndim * (plan.ndim - 1)
             products.clear()
+
 
 class TestSketchFull:
     def test_identity_stages_give_vectorization(self):
