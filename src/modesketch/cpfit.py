@@ -1,21 +1,16 @@
 """Least squares machinery: synthetic low-rank data, exact and compressed
 coefficient estimation, decoupled per-slice solves, and a CP-ALS fitter.
 
-The exact problems are the sketched ones run through the all-identity plan
-``make_plan(shape)``: each solver has one code path, and the identity maps
-hand their inputs back unchanged.
-
-The primary solver uses the normal equations of the (possibly sketched)
-design matrix.  Without a second stage neither the design nor the sketched
-tensor is formed: the Gram is the Hadamard product of the sketched factor
-Grams, and the projection is one r-column pass over the tensor against the
-sketched factors pulled back through each map's adjoint (``S^H S A``).
-Several plans solved together, such as the cells of an ``ls-exp`` grid,
-share that pass in blocks: one pass against the column-stacked pulled-back
-factors of a block gives every plan's projection.  When the Gram matrix is
-badly conditioned the solver falls back to an SVD-based least-squares solve
-on the design, and a genuinely rank-deficient basis raises
-:class:`DegenerateBasisError`.
+Every least-squares problem is a sketched one (the exact ones run through
+the all-identity plan ``make_plan(shape)``), solved one block of plans at a
+time; the three public solvers share one single-plan helper.  Without a
+second stage neither the design nor the sketched tensor is formed: the
+Gram is the Hadamard product of the sketched factor Grams, and a block's
+projections come from one r-column-per-plan pass over the tensor against
+the sketched factors pulled back through each map's adjoint (``S^H S A``).
+A second stage takes its right-hand side from :func:`sketch_full`.  A badly
+conditioned Gram sends the solve to an SVD-based least-squares fallback on
+the design, and a rank-deficient basis raises :class:`DegenerateBasisError`.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ import numpy as np
 
 from .diagnostics import CpModel, draw_unit_factors
 from .embeddings import _SWEEP_STREAM, derive_seed, make_rng
-from .sketch import SketchPlan, _sketch_all_but_one, make_plan, sketch_modewise
+from .sketch import SketchPlan, _sketch_all_but_one, make_plan, sketch_full, sketch_modewise
 from .tensor import (DenseTensor, _check_axis, _contract, _integer, _shape, khatri_rao_design,
                      norm, unfold, vectorize)
 
@@ -45,7 +40,6 @@ __all__ = [
     "decoupled_ls_slice",
     "cp_als",
     "relative_norm",
-    "relative_coefficient_norm",
     "relative_reconstruction_error",
 ]
 
@@ -159,8 +153,8 @@ def _solve_ls(gram: np.ndarray, projected: np.ndarray,
     return coeffs.T, cond
 
 
-def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plans: Iterable[SketchPlan],
-                 reference: Optional[np.ndarray]) -> Iterator[list[LsSolution]]:
+def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray],
+                 plans: Iterable[SketchPlan]) -> Iterator[list[LsSolution]]:
     """Solve the problem sketched by each plan, yielding the solutions of
     one block of consecutive plans at a time.
 
@@ -171,47 +165,49 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray], plans: Iterable[
     pulled back through each map's adjoint.  Column k of that contraction
     involves only column k of each factor, so the unstaged plans of a block
     share one pass against their column-stacked pulled-back factors.  A
-    block holds B = max(1, n_c // (2r)) plans, n_c being the extent that
-    :func:`_contract_factors` contracts first, so the pass's first
-    intermediate holds at most half as many entries as ``X``; plans are
-    drawn from ``plans`` one block at a time, and each block's plan shapes
-    are checked before any of its maps is applied.  Every plan keeps its
-    own Gram, solve and fallback; the sketch of ``X`` and the design are
-    formed only for a second stage or the SVD fallback."""
+    block holds B = max(1, n_c // (2r)) plans, n_c being the extent
+    :func:`_contraction_order` puts first, so the pass's first intermediate
+    holds at most half of ``X``'s scalars: half its bytes, or all of them where
+    FJLT maps make the pulled-back factors of real ``X`` complex and the real
+    GEMM has 2rB columns.  Plans are drawn, and their shapes checked, one block
+    at a time, before any of the block's maps is applied.  Each plan keeps its
+    own Gram, solve and fallback; ``X`` is sketched and the design formed only
+    for a second stage or the SVD fallback."""
     factors = [np.asarray(f) for f in factors]
-    if any(f.ndim != 2 for f in factors) or len({f.shape[1] for f in factors}) > 1:
-        raise ValueError(f"factors must be matrices with one column count, got shapes "
-                         f"{[f.shape for f in factors]}")
+    if (any(f.ndim != 2 for f in factors) or len({f.shape[1] for f in factors}) > 1
+            or not all(np.isfinite(f).all() for f in factors)):
+        raise ValueError(f"factors must be finite matrices with one column count, got "
+                         f"shapes {[f.shape for f in factors]}")
     shape = tuple(f.shape[0] for f in factors)
     if X.shape != shape:
         raise ValueError(f"factor dims {shape} do not match tensor shape {X.shape}")
     rank = factors[0].shape[1]
-    f_order = X.data.flags.f_contiguous and not X.data.flags.c_contiguous
-    n_c = X.shape[0] if f_order else X.shape[-1]  # the extent contracted first
+    n_c = _contraction_order(X.data, factors)[0].shape[-1]
     plans = iter(plans)
     while block := list(islice(plans, max(1, n_c // max(1, 2 * rank)))):
         for plan in block:
             if X.shape != plan.shape:
                 raise ValueError(f"tensor shape {X.shape} does not match plan shape "
                                  f"{plan.shape}")
-        sketched = [[e.apply(f) for e, f in zip(plan.mode_embeddings, factors)]
-                    for plan in block]
-        unstaged = [k for k, plan in enumerate(block) if plan.second_stage is None]
-        projected = {}
-        if unstaged:
-            pulled = [[e.adjoint(s) for e, s in zip(block[k].mode_embeddings, sketched[k])]
-                      for k in unstaged]
-            # A lone plan's factors go in as they are: its solve is the unbatched one.
-            stacked = [np.hstack(cols) if len(cols) > 1 else cols[0] for cols in zip(*pulled)]
-            t = _contract_factors(X.data, stacked)[0]
-            projected = {k: t[i * rank:(i + 1) * rank] for i, k in enumerate(unstaged)}
-        yield [_solve_sketched(X, plan, s, projected.get(k), reference)
-               for k, (plan, s) in enumerate(zip(block, sketched))]
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite data fails in _solve_ls
+            sketched = [[e.apply(f) for e, f in zip(plan.mode_embeddings, factors)]
+                        for plan in block]
+            unstaged = [k for k, plan in enumerate(block) if plan.second_stage is None]
+            projected = {}
+            if unstaged:
+                pulled = [[e.adjoint(s) for e, s in zip(block[k].mode_embeddings, sketched[k])]
+                          for k in unstaged]
+                # A lone plan's factors go in as they are: its solve is the unbatched one.
+                stacked = [np.hstack(c) if len(c) > 1 else c[0] for c in zip(*pulled)]
+                t = _contract_factors(X.data, stacked)[0]
+                projected = {k: t[i * rank:(i + 1) * rank] for i, k in enumerate(unstaged)}
+            solutions = [_solve_sketched(X, plan, s, projected.get(k))
+                         for k, (plan, s) in enumerate(zip(block, sketched))]
+        yield solutions
 
 
 def _solve_sketched(X: DenseTensor, plan: SketchPlan, sketched: list[np.ndarray],
-                    projected: Optional[np.ndarray],
-                    reference: Optional[np.ndarray]) -> LsSolution:
+                    projected: Optional[np.ndarray]) -> LsSolution:
     """One plan's solve from its sketched factors and, without a second
     stage, its projection ``(*_l S_l^H S_l A_l)^H vec X``."""
     if plan.second_stage is None:
@@ -219,30 +215,33 @@ def _solve_sketched(X: DenseTensor, plan: SketchPlan, sketched: list[np.ndarray]
         system = lambda: (khatri_rao_design(sketched),  # noqa: E731
                           vectorize(sketch_modewise(plan, X)))
     else:
-        design = plan.second_stage.apply(khatri_rao_design(sketched))
-        x_p = plan.second_stage.apply(vectorize(sketch_modewise(plan, X)))
+        design, x_p = plan.second_stage.apply(khatri_rao_design(sketched)), sketch_full(plan, X)
         gram, projected = design.conj().T @ design, x_p @ design.conj()
         system = lambda: (design, x_p)  # noqa: E731
-    coeffs, cond = _solve_ls(gram, projected, system)
-    ratio = None if reference is None else relative_coefficient_norm(coeffs, reference)
-    return LsSolution(coeffs, cond, ratio)
+    return LsSolution(*_solve_ls(gram, projected, system))
+
+
+def _solve_one(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan,
+               reference: Optional[np.ndarray] = None) -> LsSolution:
+    """The single-plan solve, with ``c_n_alpha`` against ``reference`` if given."""
+    s = next(_sketched_ls(X, factors, [plan]))[0]
+    ratio = None if reference is None else relative_norm(s.coefficients, reference)
+    return LsSolution(s.coefficients, s.gram_cond, ratio)
 
 
 def ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
                     reference: Optional[np.ndarray] = None) -> LsSolution:
     """Best coefficients expressing ``X`` over the rank-one basis given by
     the factor columns: the compressed problem under the identity plan."""
-    return next(_sketched_ls(X, factors, [make_plan(X.shape)], reference))[0]
+    return _solve_one(X, factors, make_plan(X.shape), reference)
 
 
 def compressed_ls_coefficients(X: DenseTensor, factors: Sequence[np.ndarray],
                                plan: SketchPlan,
                                reference: Optional[np.ndarray] = None) -> LsSolution:
-    """Coefficients from the sketched problem: each rank-one basis tensor is
-    sketched factor by factor, and without a second stage ``X`` is never
-    sketched; its projection comes from the factors pulled back through the
-    maps' adjoints."""
-    return next(_sketched_ls(X, factors, [plan], reference))[0]
+    """Coefficients from the problem sketched by ``plan``; without a second
+    stage ``X`` itself is never sketched."""
+    return _solve_one(X, factors, plan, reference)
 
 
 def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
@@ -263,8 +262,7 @@ def decoupled_ls_slice(X: DenseTensor, factors: Sequence[np.ndarray], mode: int,
                          f"of extent {X.shape[mode]}")
     slice_t = DenseTensor(np.take(X.data, index, axis=mode), copy=False)
     reduced_factors = [f for ell, f in enumerate(factors) if ell != mode]
-    return next(_sketched_ls(slice_t, reduced_factors, [plan or make_plan(slice_t.shape)],
-                             None))[0].coefficients
+    return _solve_one(slice_t, reduced_factors, plan or make_plan(slice_t.shape)).coefficients
 
 
 @dataclass(frozen=True)
@@ -276,12 +274,17 @@ class FitRecord:
     elapsed_s: float
 
 
+def _contraction_order(data: np.ndarray, factors: Sequence[np.ndarray]):
+    """``data`` and ``factors`` turned so that the contiguous axis is last."""
+    f_only = data.flags.f_contiguous and not data.flags.c_contiguous
+    return (data.T, factors[::-1]) if f_only else (data, factors)
+
+
 def _contract_factors(data: np.ndarray, factors: Sequence[np.ndarray]):
     """``design^H vec(data)`` for the Khatri-Rao design of ``factors`` by one
     GEMM on the contiguous mode and one einsum per other mode, rank axis
-    last; also the factors in contraction order (reversed for F order)."""
-    if data.flags.f_contiguous and not data.flags.c_contiguous:
-        data, factors = data.T, factors[::-1]
+    last; also the factors in contraction order (:func:`_contraction_order`)."""
+    data, factors = _contraction_order(data, factors)
     t = _contract(factors[-1].conj().T, data, data.ndim - 1)
     for f in reversed(factors[:-1]):
         t = np.einsum("...ir,ir->...r", t, f.conj())
@@ -340,8 +343,7 @@ def cp_als(
         raise ValueError("tol must not be NaN")
     if X.ndim < 2:
         raise ValueError("alternating least squares needs at least two modes")
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below as inf
-        norm_x = norm(X)
+    norm_x = norm(X)
     if norm_x == 0.0:
         raise ValueError("cannot fit a zero tensor")
     if not math.isfinite(norm_x):
@@ -398,11 +400,6 @@ def relative_norm(sketched, original) -> float:
     if denom == 0.0:
         raise ValueError("relative norm undefined: the reference has zero norm")
     return _norm_of(sketched) / denom
-
-
-def relative_coefficient_norm(estimated, reference) -> float:
-    """2-norm ratio of estimated to reference coefficients."""
-    return relative_norm(estimated, reference)
 
 
 def relative_reconstruction_error(X: DenseTensor, X_hat: DenseTensor) -> float:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cpfit import _sketched_ls, relative_coefficient_norm
+from .cpfit import _norm_of, _sketched_ls, relative_norm
 from .embeddings import _TRIAL_STREAM, derive_seed
 from .sketch import make_plan, sketch_full, sketch_modewise, targets_from_ratio
 from .tensor import DenseTensor, _integer, norm
@@ -90,10 +90,8 @@ def norm_experiment(
     for cs, t, trial_seed in grid:
         t0 = time.perf_counter()
         plan = make_plan(X.shape, cs, variant, second_stage, trial_seed)
-        if plan.second_stage is not None:
-            value = float(np.linalg.norm(sketch_full(plan, X))) / norm_x
-        else:
-            value = norm(sketch_modewise(plan, X)) / norm_x
+        sketch = sketch_modewise if plan.second_stage is None else sketch_full
+        value = _norm_of(sketch(plan, X)) / norm_x
         wall = (time.perf_counter() - t0) * 1e3
         records.append(ExperimentRecord("norm/c_n_X", cs, t, trial_seed,
                                         "c_n_X", value, wall))
@@ -123,16 +121,15 @@ def ls_experiment(
     points = iter(grid)
     records, reference = [], None
     start = time.perf_counter()
-    for block in _sketched_ls(X, factors, chain([make_plan(X.shape)], cells), None):
+    for block in _sketched_ls(X, factors, chain([make_plan(X.shape)], cells)):
         wall = (time.perf_counter() - start) * 1e3 / len(block)
         if reference is None:
             reference, block = block[0].coefficients, block[1:]
-            ref_norm = float(np.linalg.norm(reference))
-            if ref_norm == 0.0:
+            if float(np.linalg.norm(reference)) == 0.0:
                 raise ValueError("exact least-squares solution is zero; ratios undefined")
         for solution, (cs, t, trial_seed) in zip(block, points):
-            ratio = relative_coefficient_norm(solution.coefficients, reference)
-            err = float(np.linalg.norm(solution.coefficients - reference)) / ref_norm
+            ratio = relative_norm(solution.coefficients, reference)
+            err = relative_norm(solution.coefficients - reference, reference)
             records.append(ExperimentRecord("ls/c_n_alpha", cs, t, trial_seed,
                                             "c_n_alpha", ratio, wall))
             records.append(ExperimentRecord("ls/alpha_rel_err", cs, t, trial_seed,

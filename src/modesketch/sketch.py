@@ -183,16 +183,20 @@ def make_plan(
 def plan_from_descriptor(text: str) -> SketchPlan:
     """Rebuild a plan from :meth:`SketchPlan.descriptor` output."""
     fields = text.strip().split()
-    if len(fields) != 7 or fields[0] != "sketchplan" or fields[1] != "v1":
-        raise ValueError(f"not a sketch plan descriptor: {text!r}")
-    kv = dict(f.split("=", 1) for f in fields[2:])
-    shape = tuple(int(n) for n in kv["shape"].split(","))
-    targets = [None if t == "id" else int(t) for t in kv["targets"].split(",")]
-    second: Optional[tuple[Optional[int], str]] = None
-    if kv["second"] != "none":
-        m_prime, stage_variant = kv["second"].split(":")
-        second = (int(m_prime), stage_variant)
-    return make_plan(shape, targets, kv["variant"], second, int(kv["seed"]))
+    try:
+        if len(fields) != 7 or fields[:2] != ["sketchplan", "v1"]:
+            raise ValueError
+        kv = dict(f.split("=", 1) for f in fields[2:])
+        shape = tuple(int(n) for n in kv["shape"].split(","))
+        targets = [None if t == "id" else int(t) for t in kv["targets"].split(",")]
+        second: Optional[tuple[Optional[int], str]] = None
+        if kv["second"] != "none":
+            m_prime, stage_variant = kv["second"].split(":")
+            second = (int(m_prime), stage_variant)
+        variant, seed = kv["variant"], int(kv["seed"])
+    except (KeyError, ValueError):
+        raise ValueError(f"not a sketch plan descriptor: {text!r}") from None
+    return make_plan(shape, targets, variant, second, seed)
 
 
 def _cost_order(embeddings: Sequence[Embedding]) -> list[int]:

@@ -258,11 +258,12 @@ def norm(X: DenseTensor) -> float:
     """Euclidean norm, the square root of ``inner(X, X)``.
 
     One pass of a real dot product over the ``(re, im)`` float view of the
-    data, in memory order.  ``np.vdot`` is not used: it turns an infinite
-    entry into ``nan``.
+    data, in memory order; squares that overflow give ``inf``, quietly.
+    ``np.vdot`` is not used: it turns an infinite entry into ``nan``.
     """
     flat = X.data.ravel(order="K").view(np.float64)
-    return math.sqrt(flat @ flat)
+    with np.errstate(over="ignore"):
+        return math.sqrt(flat @ flat)
 
 
 def khatri_rao(A, B) -> np.ndarray:

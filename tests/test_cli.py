@@ -1,9 +1,13 @@
 """DTEN file format and the command-line harness."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,15 @@ from modesketch.harness import ExperimentRecord, _grid, norm_experiment, write_r
 from modesketch.tensorfile import read_sidecar, read_tensor, sidecar_path, write_tensor
 
 RNG = np.random.default_rng(606)
+
+
+def run_fresh(argv):
+    """``python -m modesketch.cli`` in a fresh interpreter with Python's default
+    warning filters, as a user runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "modesketch.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestTensorFile:
@@ -358,6 +371,24 @@ class TestNormExp:
         values[1, 2, 3] = bad
         with pytest.raises(ValueError, match=f"the data tensor has norm {bad}"):
             norm_experiment(DenseTensor(values), [0.5], 2)
+
+    def test_overflowing_norm_rejected_in_one_line(self, tmp_path, capsys):
+        values = np.ones((4, 4, 4))
+        values[1, 2, 3] = 1e200  # finite, but its square overflows the norm
+        with pytest.raises(ValueError, match="the data tensor has norm inf"):
+            norm_experiment(DenseTensor(values), [0.5], 2)
+        path = tmp_path / "big.dten"
+        write_tensor(path, DenseTensor(values))
+        argv = ["norm-exp", "--input", str(path), "--cs", "0.5", "--trials", "2",
+                "--out", str(tmp_path / "big.csv")]
+        message = "error: norm ratios are undefined: the data tensor has norm inf\n"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message
+        failed = run_fresh(argv)
+        assert (failed.returncode, failed.stderr) == (1, message)
+        shown = run_fresh(["info", "--input", str(path)])
+        assert (shown.returncode, shown.stderr) == (0, "")
+        assert "tensor_norm=inf\n" in shown.stdout
 
     def test_sigma_without_coherent_kind_rejected(self, tmp_path, capsys):
         out = tmp_path / "n.csv"

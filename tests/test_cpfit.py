@@ -22,7 +22,6 @@ from modesketch import (
     ls_coefficients,
     make_plan,
     norm,
-    relative_coefficient_norm,
     relative_norm,
     relative_reconstruction_error,
     sketch_modewise,
@@ -220,6 +219,42 @@ def test_non_finite_data_raises(solve):
         solve(DenseTensor(data), model.factors)
 
 
+NON_FINITE_SOLVES = [
+    lambda X, f: ls_coefficients(X, f),
+    lambda X, f: compressed_ls_coefficients(X, f, make_plan(X.shape, 0.5, "fjlt", seed=2)),
+    lambda X, f: compressed_ls_coefficients(
+        X, f, make_plan(X.shape, 0.5, "gaussian", (10, "gaussian"), seed=2)),
+    lambda X, f: decoupled_ls_slice(X, f, 0, 1),
+    lambda X, f: decoupled_ls_slice(X, f, 2, 3, make_plan((6, 5), (3, 3), seed=3)),
+    lambda X, f: ls_experiment(X, f, [0.5], 3),
+]
+NON_FINITE_IDS = ["exact", "compressed", "two-stage", "slice", "sketched-slice", "ls-exp"]
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solve", NON_FINITE_SOLVES, ids=NON_FINITE_IDS)
+def test_non_finite_factors_rejected(solve, entry):
+    model, X = synthesize(SynthSpec((6, 5, 4), 2, "gaussian", seed=21))
+    factors = [f.copy() for f in model.factors]
+    factors[1][2, 0] = entry
+    with pytest.raises(ValueError, match=r"^factors must be finite matrices with one column "
+                                         r"count, got shapes \[\(\d, 2\), \(\d, 2\)"):
+        solve(X, factors)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("solve", NON_FINITE_SOLVES, ids=NON_FINITE_IDS)
+def test_infinite_data_fails_in_one_line_without_a_warning(solve, entry):
+    model, X = synthesize(SynthSpec((6, 5, 4), 2, "gaussian", seed=21))
+    data = X.data.copy()
+    data[1, 2, 3] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="^non-finite values in a least-squares problem; "
+                                               "the data"):
+            solve(DenseTensor(data), model.factors)
+
+
 @pytest.mark.parametrize("solve, dtype", [
     (lambda X, f: ls_coefficients(X, f).coefficients, np.float64),
     (lambda X, f: compressed_ls_coefficients(
@@ -397,6 +432,7 @@ def test_unstaged_solves_sketch_no_tensor(solve, monkeypatch):
         raise AssertionError("an unstaged solve sketched the tensor")
 
     monkeypatch.setattr("modesketch.cpfit.sketch_modewise", forbidden)
+    monkeypatch.setattr("modesketch.cpfit.sketch_full", forbidden)
     got = solve(X, model.factors)
     assert np.array_equal(getattr(got, "coefficients", got), getattr(want, "coefficients", want))
     with pytest.raises(AssertionError, match="sketched the tensor"):
@@ -448,7 +484,7 @@ class TestGridSolve:
         B = block_size(data, 2)
         for cells in (2 * B, 2 * B + 1):
             plans = grid_plans(shape, cells, variant, seed=cells)
-            blocks = list(_sketched_ls(X, model.factors, iter(plans), None))
+            blocks = list(_sketched_ls(X, model.factors, iter(plans)))
             assert [len(b) for b in blocks] == [B] * (cells // B) + [cells % B] * (cells % B > 0)
             assert_matches_separate_solves([s for b in blocks for s in b], X, model.factors,
                                            plans)
@@ -458,7 +494,7 @@ class TestGridSolve:
         X = T + 0.2 * DenseTensor(np.random.default_rng(3).standard_normal(T.shape))
         plans = grid_plans(X.shape, 5, "fjlt")
         plans[2] = make_plan(X.shape, 0.6, "gaussian", (30, "fjlt"), seed=9)
-        got = [s for b in _sketched_ls(X, model.factors, plans, None) for s in b]
+        got = [s for b in _sketched_ls(X, model.factors, plans) for s in b]
         assert_matches_separate_solves(got, X, model.factors, plans)
 
     def test_ill_conditioned_cells_each_fall_back(self):
@@ -469,7 +505,7 @@ class TestGridSolve:
             factors.append(np.column_stack([v, v + 1e-5 * w]))
         X = DenseTensor(rng.standard_normal((8, 7, 12)))
         plans = grid_plans(X.shape, 7, "gaussian")
-        blocks = list(_sketched_ls(X, factors, plans, None))
+        blocks = list(_sketched_ls(X, factors, plans))
         assert len(blocks) == 3
         got = [s for b in blocks for s in b]
         assert all(s.gram_cond > GRAM_COND_LIMIT for s in got)
@@ -482,7 +518,7 @@ class TestGridSolve:
         monkeypatch.setattr(cpfit, "_contract_factors",
                             lambda *args: calls.append(1) or _contract_factors(*args))
         plans = grid_plans(X.shape, cells, "fjlt")
-        assert sum(len(b) for b in _sketched_ls(X, model.factors, plans, None)) == cells
+        assert sum(len(b) for b in _sketched_ls(X, model.factors, plans)) == cells
         assert len(calls) == -(-cells // 3)
 
     def test_single_plan_solves_make_one_contraction(self, monkeypatch):
@@ -517,7 +553,7 @@ class TestGridSolve:
                                 or f(self, x))
         with pytest.raises(ValueError, match=r"tensor shape \(6, 5, 12\) does not match plan "
                                              r"shape \(6, 5, 11\)"):
-            list(_sketched_ls(X, model.factors, plans, None))
+            list(_sketched_ls(X, model.factors, plans))
         assert applied == []
 
     def test_plan_shape_checked_in_a_later_block(self):
@@ -525,7 +561,7 @@ class TestGridSolve:
         plans = grid_plans(X.shape, 5, "gaussian")
         plans[4] = make_plan((6, 5, 11), 0.5, seed=1)
         with pytest.raises(ValueError, match=r"does not match plan shape \(6, 5, 11\)"):
-            list(_sketched_ls(X, model.factors, plans, None))
+            list(_sketched_ls(X, model.factors, plans))
 
     def test_degenerate_basis_raises_before_any_trial(self, tmp_path, capsys):
         v, w = RNG.standard_normal(6), RNG.standard_normal(5)
@@ -894,7 +930,7 @@ class TestMetrics:
         assert relative_norm(X, X) == pytest.approx(1.0)
         assert relative_reconstruction_error(X, DenseTensor.zeros((4, 5))) == pytest.approx(1.0)
         alpha = RNG.standard_normal(4)
-        assert relative_coefficient_norm(2 * alpha, alpha) == pytest.approx(2.0)
+        assert relative_norm(2 * alpha, alpha) == pytest.approx(2.0)
 
     def test_accepts_vectors_and_tensors(self):
         X = DenseTensor(RNG.standard_normal((4, 5)))
@@ -905,6 +941,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             relative_norm(X, DenseTensor.zeros((3, 3)))
         with pytest.raises(ValueError):
-            relative_coefficient_norm(np.ones(2), np.zeros(2))
+            relative_norm(np.ones(2), np.zeros(2))
         with pytest.raises(ValueError):
             relative_reconstruction_error(DenseTensor.zeros((3, 3)), X)

@@ -582,3 +582,13 @@ class TestDescriptor:
     def test_bad_descriptor_rejected(self):
         with pytest.raises(ValueError):
             plan_from_descriptor("not a plan")
+
+    @pytest.mark.parametrize("edit", [("shape=", "shap="), ("seed=5", "seed5"),
+                                      ("second=none", "second=4:gaussian:x"),
+                                      ("seed=5", "seed=five")],
+                             ids=["misspelt-key", "no-equals", "second-stage", "not-an-int"])
+    def test_malformed_descriptor_rejected_in_one_line(self, edit):
+        text = make_plan((6, 7, 8), 0.5, seed=5).descriptor().replace(*edit)
+        with pytest.raises(ValueError) as info:
+            plan_from_descriptor(text)
+        assert str(info.value) == f"not a sketch plan descriptor: {text!r}"

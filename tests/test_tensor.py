@@ -2,6 +2,7 @@
 
 import string
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,14 @@ class TestInnerNorm:
         data = np.ones((3, 4), dtype=np.complex128)
         data[1, 2] = bad
         np.testing.assert_equal(norm(DenseTensor(data, copy=False)), want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_overflowing_norm_is_inf_without_a_warning(self, dtype):
+        data = np.ones((3, 4), dtype=dtype)
+        data[1, 2] = 1e200  # finite, but its square overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm(DenseTensor(data, copy=False)) == np.inf
 
 
 class TestKhatriRao:
