@@ -11,6 +11,11 @@ the sketched factors pulled back through each map's adjoint (``S^H S A``).
 A second stage takes its right-hand side from :func:`sketch_full`.  A badly
 conditioned Gram sends the solve to an SVD-based least-squares fallback on
 the design, and a rank-deficient basis raises :class:`DegenerateBasisError`.
+
+CP-ALS shares that solve, not the plan.  An exact sweep runs on a dimension
+tree: two r-column passes over the tensor, which it unfolds, like the
+Khatri-Rao design, only for the fallback.  A sketched sweep unfolds each
+partially sketched tensor and forms each sketched design.
 """
 
 from __future__ import annotations
@@ -124,7 +129,8 @@ def _gram_hadamard(factors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _solve_ls(gram: np.ndarray, projected: np.ndarray,
-              system: Callable[[], tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, float]:
+              system: Callable[[], tuple[np.ndarray, np.ndarray]],
+              source: str) -> tuple[np.ndarray, float]:
     """Coefficients ``beta``, one row per row of ``rows`` (a vector for one
     right-hand side), minimizing ``||rows - beta design^T||_F``, given
     ``gram = design^H design`` and ``projected = design^H rows^T``.
@@ -132,12 +138,11 @@ def _solve_ls(gram: np.ndarray, projected: np.ndarray,
     Normal equations first; above GRAM_COND_LIMIT, ``system()`` supplies
     ``(design, rows)`` for an SVD solve, so only the fallback needs the
     design.  Returns ``beta`` and the Gram condition number.  Raises
-    RuntimeError on non-finite values and DegenerateBasisError when the
-    design itself is rank deficient.
+    RuntimeError on non-finite values, naming their ``source``, and
+    DegenerateBasisError when the design itself is rank deficient.
     """
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(projected))):
-        raise RuntimeError("non-finite values in a least-squares problem; the data "
-                           "or the iterates have diverged")
+        raise RuntimeError(f"non-finite values in a least-squares problem; {source}")
     cond = float(np.linalg.cond(gram))
     if np.isfinite(cond) and cond <= GRAM_COND_LIMIT:
         try:
@@ -218,7 +223,8 @@ def _solve_sketched(X: DenseTensor, plan: SketchPlan, sketched: list[np.ndarray]
         design, x_p = plan.second_stage.apply(khatri_rao_design(sketched)), sketch_full(plan, X)
         gram, projected = design.conj().T @ design, x_p @ design.conj()
         system = lambda: (design, x_p)  # noqa: E731
-    return LsSolution(*_solve_ls(gram, projected, system))
+    return LsSolution(*_solve_ls(gram, projected, system,
+                                 "the data has a non-finite entry or overflows"))
 
 
 def _solve_one(X: DenseTensor, factors: Sequence[np.ndarray], plan: SketchPlan,
@@ -281,26 +287,77 @@ def _contraction_order(data: np.ndarray, factors: Sequence[np.ndarray]):
 
 
 def _contract_factors(data: np.ndarray, factors: Sequence[np.ndarray]):
-    """``design^H vec(data)`` for the Khatri-Rao design of ``factors`` by one
-    GEMM on the contiguous mode and one einsum per other mode, rank axis
-    last; also the factors in contraction order (:func:`_contraction_order`)."""
+    """``design^H vec(data)`` for the Khatri-Rao design of ``factors``,
+    contiguous mode first; also the factors in contraction order
+    (:func:`_contraction_order`)."""
     data, factors = _contraction_order(data, factors)
+    return _contract_last(data, factors), factors
+
+
+def _contract_last(data: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """``data`` contracted over its last ``len(factors)`` axes against the
+    conjugated factors, rank axis last: one :func:`_contract` GEMM on the
+    last axis, which copies neither C- nor F-ordered data, and one einsum
+    per other axis."""
     t = _contract(factors[-1].conj().T, data, data.ndim - 1)
     for f in reversed(factors[:-1]):
         t = np.einsum("...ir,ir->...r", t, f.conj())
-    return t, factors
+    return t
+
+
+def _relative_error(norm_x: float, weights: np.ndarray, factors: Sequence[np.ndarray],
+                    cross: float) -> float:
+    """Relative error of the CP model without expanding it, from the cross
+    term ``Re<X, M>``: ``||X - M||^2 = ||X||^2 - 2 Re<X, M> + w^H (*_j A_j^H A_j) w``."""
+    model_sq = float(np.real(np.vdot(weights, _gram_hadamard(factors) @ weights)))
+    e2 = (norm_x * norm_x - 2.0 * cross + model_sq) / (norm_x * norm_x)
+    return math.sqrt(max(e2, 0.0))
 
 
 def _gram_error(X: DenseTensor, norm_x: float, weights: np.ndarray,
                 factors: Sequence[np.ndarray]) -> float:
-    """Relative error of the CP model without expanding it:
-    ``||X - M||^2 = ||X||^2 - 2 Re<X, M> + w^H (*_j A_j^H A_j) w``.
-    """
+    """:func:`_relative_error` with the cross term from one pass over ``X``."""
     t, factors = _contract_factors(X.data, factors)
-    cross = float(np.real(np.vdot(weights, t)))
-    model_sq = float(np.real(np.vdot(weights, _gram_hadamard(factors) @ weights)))
-    e2 = (norm_x * norm_x - 2.0 * cross + model_sq) / (norm_x * norm_x)
-    return math.sqrt(max(e2, 0.0))
+    return _relative_error(norm_x, weights, factors, float(np.real(np.vdot(weights, t))))
+
+
+def _als_update(others: Sequence[np.ndarray], projected: np.ndarray,
+                system: Callable[[], tuple[np.ndarray, np.ndarray]]):
+    """One mode update from the other modes' (sketched) factors and the
+    MTTKRP ``projected``: the least-squares solve, then the columns
+    normalized.  Returns the new factor and the weights."""
+    W = _solve_ls(_gram_hadamard(others), projected, system, "the iterates have diverged")[0]
+    norms = np.linalg.norm(W, axis=0)
+    return W / np.where(norms > 0.0, norms, 1.0), norms
+
+
+def _tree_sweep(X: DenseTensor, norm_x: float, factors: list) -> tuple[np.ndarray, float]:
+    """One exact sweep on a dimension tree, updating ``factors`` in place;
+    returns the weights and the Gram-estimated relative error.
+
+    ``X`` is contracted over its last d - h modes (h = ceil(d/2)), and each
+    of modes 0..h-1 is updated from that partial result; then ``X.T`` is
+    contracted over the first h modes with their new factors, and each of
+    modes h..d-1 is updated.  A mode's MTTKRP is its half's partial result
+    contracted over the half's other modes.  The cross term ``Re<X, M>``
+    is the last MTTKRP against the last factor, so the error needs no pass
+    of its own.  ``unfold`` and the design are built only for the fallback.
+    """
+    d, h = X.ndim, (X.ndim + 1) // 2
+    for data, modes, k in ((X.data, list(range(d)), h), (X.data.T, list(range(d))[::-1], d - h)):
+        kept = modes[:k]  # the partial result's leading axes, in order
+        partial = _contract_last(data, [factors[ell] for ell in modes[k:]])
+        for j in sorted(kept):
+            operands = [partial, list(range(k + 1))]
+            for axis, ell in enumerate(kept):
+                if ell != j:
+                    operands += [factors[ell].conj(), [axis, k]]
+            projected = np.einsum(*operands, [k, kept.index(j)])
+            others = [f for ell, f in enumerate(factors) if ell != j]
+            factors[j], weights = _als_update(
+                others, projected, lambda: (khatri_rao_design(others), unfold(X, j)))
+    cross = float(np.real(np.vdot(weights, np.einsum("ri,ir->r", projected, factors[-1].conj()))))
+    return weights, _relative_error(norm_x, weights, factors, cross)
 
 
 def cp_als(
@@ -315,28 +372,32 @@ def cp_als(
     """Fit a rank-``rank`` CP model by alternating least squares.
 
     Starts from normalized Gaussian factors and cycles the modes in
-    ascending order, solving each matricized subproblem via Khatri-Rao
-    normal equations; after each mode update the factor columns are
-    normalized and their norms absorbed into the weights.  The relative
+    ascending order, solving each subproblem by its Khatri-Rao normal
+    equations; after each mode update the factor columns are normalized
+    and their norms absorbed into the weights.  The relative
     reconstruction error is recorded after every sweep and the iteration
     stops once its relative improvement falls below ``tol``.  Each sweep's
-    error comes from the factor Grams and one contraction of ``X`` against
-    the factors; the sweep that ends the fit, any sweep whose estimate falls
-    below ``GRAM_ERROR_FLOOR``, and any sweep whose stopping test is within
+    error comes from the factor Grams and the cross term ``Re<X, M>``; the
+    sweep that ends the fit, any sweep whose estimate falls below
+    ``GRAM_ERROR_FLOOR``, and any sweep whose stopping test is within
     ``GRAM_ERROR_SLACK`` of flipping are evaluated against the dense model,
     so the stop and the last recorded error are those of the dense model.
 
-    Every sweep draws ``make_plan(X.shape, compression, variant)`` from a
-    seed derived from ``seed`` and sketches each subproblem modewise over
+    ``compression`` is a ratio or per-mode target dims for the plan
+    ``make_plan(X.shape, compression, variant)``; ``None`` (or all-``None``
+    targets) gives the identity plan, the exact problem.  An exact fit
+    draws that plan once and runs each sweep on a dimension tree
+    (:func:`_tree_sweep`): two passes over ``X``, whose last MTTKRP also
+    gives the cross term.  A sketched fit draws a plan every sweep, from a
+    seed derived from ``seed``, and sketches each subproblem modewise over
     the fixed modes.  The fixed modes are applied in the plan's cost order,
     not in the update order, and the sweep's d targets come from one walk
     of that order that shares its prefixes between them; each target equals
     :func:`sketch_modewise` on the plan with the updated mode's map replaced
-    by the identity.  ``compression`` is a ratio or per-mode target dims;
-    ``None`` gives the identity plan, which is the exact problem.  Sketched
-    sweeps trade monotonicity of the objective for speed.  Data with a
-    non-finite norm (a NaN or infinite entry, or squares that overflow) is
-    rejected before the first sweep.
+    by the identity, and the cross term takes one more pass over ``X``.
+    Sketched sweeps trade monotonicity of the objective for speed.  Data
+    with a non-finite norm (a NaN or infinite entry, or squares that
+    overflow) is rejected before the first sweep.
     """
     rank, max_iters = _integer(rank, "rank"), _integer(max_iters, "max_iters")
     if math.isnan(tol):
@@ -351,31 +412,33 @@ def cp_als(
 
     rng = make_rng(derive_seed(seed, _SWEEP_STREAM, 0))
     factors, weights = list(draw_unit_factors(X.shape, rank, rng)), np.ones(rank)
+    plan = make_plan(X.shape, compression, variant, seed=derive_seed(seed, _SWEEP_STREAM, 1))
+    exact = all(e.kind == "identity" for e in plan.mode_embeddings)
 
     history: list[FitRecord] = []
     start = time.perf_counter()
     prev_err: Optional[float] = None
     for sweep in range(max_iters):
-        plan = make_plan(X.shape, compression, variant,
-                         seed=derive_seed(seed, _SWEEP_STREAM, sweep + 1))
-        # next(), not enumerate(), which would hold each target through the
-        # next one's sketch.
-        targets = _sketch_all_but_one(plan, X)
-        for j in range(X.ndim):
-            target = next(targets)
-            others = [e.apply(f) for ell, (e, f) in enumerate(zip(plan.mode_embeddings, factors))
-                      if ell != j]
-            design, rows = khatri_rao_design(others), unfold(target, j)
-            gram, projected = _gram_hadamard(others), (rows @ design.conj()).T
-            W = _solve_ls(gram, projected, lambda: (design, rows))[0]
-            del target, design, rows  # not held through the next mode's sketch
-            norms = np.linalg.norm(W, axis=0)
-            safe = np.where(norms > 0.0, norms, 1.0)
-            factors[j] = W / safe
-            weights = norms
-        del targets  # drops the held prefix before the error check
+        if exact:
+            weights, err = _tree_sweep(X, norm_x, factors)
+        else:
+            if sweep:
+                plan = make_plan(X.shape, compression, variant,
+                                 seed=derive_seed(seed, _SWEEP_STREAM, sweep + 1))
+            # next(), not enumerate(), which would hold each target through
+            # the next one's sketch.
+            targets = _sketch_all_but_one(plan, X)
+            for j in range(X.ndim):
+                target = next(targets)
+                others = [e.apply(f) for ell, (e, f)
+                          in enumerate(zip(plan.mode_embeddings, factors)) if ell != j]
+                design, rows = khatri_rao_design(others), unfold(target, j)
+                factors[j], weights = _als_update(others, (rows @ design.conj()).T,
+                                                  lambda: (design, rows))
+                del target, design, rows  # not held through the next mode's sketch
+            del targets  # drops the held prefix before the error check
+            err = _gram_error(X, norm_x, weights, factors)
 
-        err = _gram_error(X, norm_x, weights, factors)
         if (err < GRAM_ERROR_FLOOR or sweep == max_iters - 1
                 or _converged(prev_err, err + GRAM_ERROR_SLACK, tol)):
             err = relative_reconstruction_error(X, CpModel(weights, tuple(factors)).to_tensor())
@@ -408,6 +471,15 @@ def relative_reconstruction_error(X: DenseTensor, X_hat: DenseTensor) -> float:
 
 
 def _norm_of(obj) -> float:
+    """Euclidean norm of a tensor or an array; an array whose squares
+    overflow, though every entry is finite, is scaled by its largest
+    magnitude first."""
     if isinstance(obj, DenseTensor):
         return norm(obj)
-    return float(np.linalg.norm(np.ravel(obj)))
+    x = np.ravel(obj)
+    with np.errstate(over="ignore"):
+        value = float(np.linalg.norm(x))
+    if value == math.inf and np.isfinite(x).all():
+        scale = np.abs(x).max()
+        value = float(scale * np.linalg.norm(x / scale))
+    return value

@@ -125,7 +125,7 @@ def ls_experiment(
         wall = (time.perf_counter() - start) * 1e3 / len(block)
         if reference is None:
             reference, block = block[0].coefficients, block[1:]
-            if float(np.linalg.norm(reference)) == 0.0:
+            if _norm_of(reference) == 0.0:
                 raise ValueError("exact least-squares solution is zero; ratios undefined")
         for solution, (cs, t, trial_seed) in zip(block, points):
             ratio = relative_norm(solution.coefficients, reference)

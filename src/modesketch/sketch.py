@@ -116,8 +116,8 @@ def make_plan(
     """Build a reproducible sketch plan.
 
     ``make_plan(shape)`` is the all-identity plan: sketching with it leaves
-    the tensor and the factors as they are, so the exact least-squares and
-    CP-ALS problems are the sketched ones run through this plan.
+    the tensor and the factors as they are, so the exact least-squares
+    problems are the sketched ones run through this plan.
 
     Parameters
     ----------

@@ -34,12 +34,14 @@ from modesketch import cpfit
 from modesketch.cli import main
 from modesketch.cpfit import (GRAM_COND_LIMIT, GRAM_ERROR_FLOOR, _contract_factors,
                               _gram_hadamard, _sketched_ls)
-from modesketch.embeddings import FJLTEmbedding, GaussianEmbedding, IdentityEmbedding
+from modesketch.diagnostics import draw_unit_factors
+from modesketch.embeddings import (_SWEEP_STREAM, FJLTEmbedding, GaussianEmbedding,
+                                   IdentityEmbedding, make_rng)
 from modesketch.harness import ls_experiment
 from modesketch.tensor import khatri_rao_design
 from modesketch.tensorfile import write_tensor
 
-from helpers import record_mode_products, rel_err, without_mode
+from helpers import layouts, record_mode_products, rel_err, without_mode
 
 RNG = np.random.default_rng(311)
 
@@ -251,8 +253,46 @@ def test_infinite_data_fails_in_one_line_without_a_warning(solve, entry):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="^non-finite values in a least-squares problem; "
-                                               "the data"):
+                                               "the data has a non-finite entry or overflows$"):
             solve(DenseTensor(data), model.factors)
+
+
+@pytest.mark.parametrize("compression", [None, 0.5], ids=["exact", "sketched"])
+def test_diverged_iterates_named_in_one_line(compression, monkeypatch):
+    _, X = synthesize(SynthSpec((6, 5, 4), 2, "gaussian", seed=21))
+    monkeypatch.setattr(cpfit, "_gram_hadamard", lambda factors: np.full((2, 2), np.nan))
+    with pytest.raises(RuntimeError, match="^non-finite values in a least-squares problem; "
+                                           "the iterates have diverged$"):
+        cp_als(X, 2, max_iters=3, seed=1, compression=compression)
+
+
+def test_huge_finite_coefficients_give_finite_ratios():
+    """Coefficients near 1e298 square past the float range; their norms are
+    taken scaled, so the records stay finite and without a warning."""
+    model, X = synthesize(SynthSpec((6, 5, 4), 2, "gaussian", seed=3))
+    data = X.data.copy()
+    data[1, 2, 3] = 1e300
+    X = DenseTensor(data)
+    reference = ls_coefficients(X, model.factors).coefficients
+    records = ls_experiment(X, model.factors, [0.5], 2)
+    assert len(records) == 4 and all(math.isfinite(r.value) for r in records)
+    for k, trial in enumerate(records[::2]):
+        plan = make_plan(X.shape, 0.5, seed=trial.seed)
+        got = compressed_ls_coefficients(X, model.factors, plan).coefficients
+        want = np.linalg.norm(got / 1e298) / np.linalg.norm(reference / 1e298)
+        assert trial.value == pytest.approx(want, rel=1e-12)
+        assert records[2 * k + 1].value == pytest.approx(
+            np.linalg.norm((got - reference) / 1e298) / np.linalg.norm(reference / 1e298),
+            rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [np.arange(5.0), np.array([3.0 - 4.0j, 1e-300]),
+                               np.random.default_rng(5).standard_normal(7), np.zeros(3),
+                               np.array([np.inf, 1.0]), np.array([np.nan, 1.0])])
+def test_ordinary_norms_are_the_plain_norm(x):
+    want = float(np.linalg.norm(x))
+    got = cpfit._norm_of(x)
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @pytest.mark.parametrize("solve, dtype", [
@@ -922,6 +962,122 @@ class TestCpAlsGramError:
         _, X = synthesize(SynthSpec((4, 4), 1, "gaussian", seed=36))
         with pytest.raises(ValueError, match="targets"):
             cp_als(X, 1, compression=1)
+
+
+def reference_als(X, rank, sweeps, seed):
+    """Plain ALS from the matricized problem: each mode update solves
+    ``unfold(X, j) ~ W design^T`` over the Khatri-Rao design of the other
+    factors by ``lstsq``; returns each sweep's model."""
+    rng = make_rng(derive_seed(seed, _SWEEP_STREAM, 0))
+    factors, models = list(draw_unit_factors(X.shape, rank, rng)), []
+    for _ in range(sweeps):
+        for j in range(X.ndim):
+            design = khatri_rao_design([f for ell, f in enumerate(factors) if ell != j])
+            W = np.linalg.lstsq(design, unfold(X, j).T, rcond=None)[0].T
+            weights = np.linalg.norm(W, axis=0)
+            factors[j] = W / weights
+        models.append(CpModel(weights, tuple(factors)))
+    return models
+
+
+TREE_SHAPES = [(9, 7), (6, 5, 4), (5, 4, 3, 6), (4, 3, 5, 3, 4)]
+
+
+class TestCpAlsTree:
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("shape", TREE_SHAPES, ids=lambda s: f"{len(s)}-mode")
+    def test_exact_fit_matches_the_matricized_reference(self, shape, layout, complex_entries):
+        data = layouts(np.random.default_rng(60), shape, complex_entries)[layout]
+        X = DenseTensor(data, copy=False)
+        assert X.data is data
+        fit, history = cp_als(X, 3, max_iters=4, tol=-np.inf, seed=61)
+        models = reference_als(X, 3, 4, 61)
+        want = models[-1]
+        assert rel_err(fit.weights, want.weights) <= 1e-10
+        for got, ref in zip(fit.factors, want.factors):
+            assert rel_err(got, ref) <= 1e-10
+        dense = [relative_reconstruction_error(X, m.to_tensor()) for m in models]
+        assert min(dense) >= GRAM_ERROR_FLOOR
+        assert all(abs(h.e_cpd - e) <= 1e-10 for h, e in zip(history, dense))
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("shape", TREE_SHAPES, ids=lambda s: f"{len(s)}-mode")
+    def test_two_passes_over_x_and_no_matricized_problem(self, shape, layout, monkeypatch):
+        X = DenseTensor(layouts(np.random.default_rng(62), shape, False)[layout], copy=False)
+        want, want_history = cp_als(X, 2, max_iters=5, tol=-np.inf, seed=63)
+        passes, contract = [], cpfit._contract
+
+        def counting(U, data, axis):
+            passes.append(data.size == X.size)
+            return contract(U, data, axis)
+
+        def forbidden(*args):
+            raise AssertionError("an exact sweep built the matricized problem")
+
+        monkeypatch.setattr(cpfit, "_contract", counting)
+        for name in ("unfold", "khatri_rao_design", "_gram_error"):
+            monkeypatch.setattr(cpfit, name, forbidden)
+        fit, history = cp_als(X, 2, max_iters=5, tol=-np.inf, seed=63)
+        assert passes == [True] * 10
+        assert [h.e_cpd for h in history] == [h.e_cpd for h in want_history]
+        for got, ref in zip((fit.weights, *fit.factors), (want.weights, *want.factors)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape", TREE_SHAPES, ids=lambda s: f"{len(s)}-mode")
+    def test_fallback_builds_the_matricized_problem(self, shape, monkeypatch):
+        X = DenseTensor(np.random.default_rng(64).standard_normal(shape))
+        want, want_history = cp_als(X, 2, max_iters=3, tol=-np.inf, seed=65)
+        built = []
+        for name in ("unfold", "khatri_rao_design"):
+            def recording(*args, name=name, original=getattr(cpfit, name)):
+                built.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(cpfit, name, recording)
+        monkeypatch.setattr(cpfit, "GRAM_COND_LIMIT", -1.0)
+        fit, history = cp_als(X, 2, max_iters=3, tol=-np.inf, seed=65)
+        assert built == ["khatri_rao_design", "unfold"] * (3 * X.ndim)
+        for got, ref in zip((fit.weights, *fit.factors), (want.weights, *want.factors)):
+            assert rel_err(got, ref) <= 1e-10
+        assert all(abs(a.e_cpd - b.e_cpd) <= 1e-10 for a, b in zip(history, want_history))
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_sweeps_hold_no_copy_of_x(self, layout, monkeypatch):
+        """Up to the dense check of its last sweep, an exact fit holds less
+        than half of X's bytes beyond X itself."""
+        X = DenseTensor(layouts(np.random.default_rng(66), (40, 40, 40), False)[layout],
+                        copy=False)
+        peaks, expand = [], CpModel.to_tensor
+
+        def recording(self):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return expand(self)
+
+        monkeypatch.setattr(CpModel, "to_tensor", recording)
+        tracemalloc.start()
+        try:
+            cp_als(X, 4, max_iters=3, tol=-np.inf, seed=67)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < X.data.nbytes / 2
+
+    @pytest.mark.parametrize("compression, plans", [(None, 1), ([None, None, None], 1),
+                                                    (0.5, 4), ([3, None, 2], 4)])
+    def test_plans_drawn(self, compression, plans, monkeypatch):
+        """An exact fit draws its identity plan once; a sketched fit draws
+        one plan per sweep."""
+        drawn = []
+
+        def recording(*args, **kwargs):
+            drawn.append(kwargs["seed"])
+            return make_plan(*args, **kwargs)
+
+        monkeypatch.setattr(cpfit, "make_plan", recording)
+        X = DenseTensor(np.random.default_rng(68).standard_normal((6, 5, 4)))
+        _, history = cp_als(X, 2, max_iters=4, tol=-np.inf, seed=69, compression=compression)
+        assert len(history) == 4
+        assert drawn == [derive_seed(69, _SWEEP_STREAM, s) for s in range(1, plans + 1)]
 
 
 class TestMetrics:

@@ -6,10 +6,10 @@ Every call runs in-process with OUTDIR as the working directory, so the
 files it writes and the paths it prints are relative.  Call ``NN`` leaves
 ``NN.log``: the command line, standard output, standard error and the exit
 status.  The corpus covers every subcommand, every second stage, synthetic
-and file input, and non-uniform shapes, and pins the one-line errors of a
-few rejected calls.  Two runs of the same source tree must give
-byte-identical directories (``diff -r``); two trees can be compared file
-by file to list the outputs a change moved.
+and file input, non-uniform shapes, and exact and sketched fits of 2, 3 and
+4 modes, and pins the one-line errors of a few rejected calls.  Two runs of
+the same source tree must give byte-identical directories (``diff -r``);
+two trees can be compared file by file to list the outputs a change moved.
 """
 
 import contextlib
@@ -88,6 +88,9 @@ CALLS = [
     "--out-prefix fit.quad",
     "cpals --input mid.dten --rank 2 --iters 4 --tol=-inf --cs 0.5 --variant fjlt --seed 2 "
     "--out-prefix fit.mid.fjlt",
+    # Exact fits of 2 and 4 modes: the dimension tree's halves of 1 + 1 and 2 + 2 modes.
+    "cpals --input flat.dten --rank 3 --iters 6 --out-prefix fit.flat",
+    "cpals --input quad.dten --rank 2 --iters 6 --out-prefix fit.quad.exact",
 ]
 
 
