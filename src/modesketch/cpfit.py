@@ -8,7 +8,7 @@ second stage neither the design nor the sketched tensor is formed: the
 Gram is the Hadamard product of the sketched factor Grams, and a block's
 projections come from one r-column-per-plan pass over the tensor against
 the sketched factors pulled back through each map's adjoint (``S^H S A``).
-A second stage takes its right-hand side from :func:`sketch_full`.  A badly
+Second stages and the fallback take ``S X`` from :func:`sketch_full`.  A badly
 conditioned Gram sends the solve to an SVD-based least-squares fallback on
 the design, and a rank-deficient basis raises :class:`DegenerateBasisError`.
 
@@ -30,9 +30,9 @@ import numpy as np
 
 from .diagnostics import CpModel, draw_unit_factors
 from .embeddings import _SWEEP_STREAM, derive_seed, make_rng
-from .sketch import SketchPlan, _sketch_all_but_one, make_plan, sketch_full, sketch_modewise
+from .sketch import SketchPlan, _sketch_all_but_one, make_plan, sketch_full
 from .tensor import (DenseTensor, _check_axis, _contract, _integer, _shape, khatri_rao_design,
-                     norm, unfold, vectorize)
+                     norm, unfold)
 
 __all__ = [
     "DegenerateBasisError",
@@ -217,8 +217,7 @@ def _solve_sketched(X: DenseTensor, plan: SketchPlan, sketched: list[np.ndarray]
     stage, its projection ``(*_l S_l^H S_l A_l)^H vec X``."""
     if plan.second_stage is None:
         gram = _gram_hadamard(sketched)
-        system = lambda: (khatri_rao_design(sketched),  # noqa: E731
-                          vectorize(sketch_modewise(plan, X)))
+        system = lambda: (khatri_rao_design(sketched), sketch_full(plan, X))  # noqa: E731
     else:
         design, x_p = plan.second_stage.apply(khatri_rao_design(sketched)), sketch_full(plan, X)
         gram, projected = design.conj().T @ design, x_p @ design.conj()

@@ -213,7 +213,7 @@ class FJLTEmbedding:
 
 @dataclass(frozen=True)
 class IdentityEmbedding:
-    """Marker leaving a mode (or the second sketch stage) untouched."""
+    """Marker leaving a mode untouched."""
 
     kind: ClassVar[str] = "identity"
     n: int

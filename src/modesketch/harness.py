@@ -90,6 +90,7 @@ def norm_experiment(
     for cs, t, trial_seed in grid:
         t0 = time.perf_counter()
         plan = make_plan(X.shape, cs, variant, second_stage, trial_seed)
+        # Norms need no vector: an unstaged sketch skips sketch_full's vectorize copy.
         sketch = sketch_modewise if plan.second_stage is None else sketch_full
         value = _norm_of(sketch(plan, X)) / norm_x
         wall = (time.perf_counter() - t0) * 1e3

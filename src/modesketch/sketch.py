@@ -54,17 +54,14 @@ def targets_from_ratio(shape: Sequence[int], ratio: float) -> tuple[int, ...]:
 
 
 def _draw(variant: str, m: int, n: int, seed: int, *key: int) -> Embedding:
-    """An ``m x n`` embedding; a random variant draws from the stream
-    ``derive_seed(seed, *key)``, the identity marker draws nothing."""
+    """An ``m x n`` embedding of a checked variant; a random one draws from
+    the stream ``derive_seed(seed, *key)``, the identity marker nothing."""
     if variant == "identity":
         if m != n:
             raise ValueError(f"identity marker cannot change dimension {n} to {m}")
         return IdentityEmbedding(n)
-    if variant == "gaussian":
-        return gaussian_embedding(m, n, make_rng(derive_seed(seed, *key)))
-    if variant == "fjlt":
-        return fjlt_embedding(m, n, make_rng(derive_seed(seed, *key)))
-    raise ValueError(f"unknown embedding variant {variant!r}; expected one of {VARIANTS}")
+    draw = gaussian_embedding if variant == "gaussian" else fjlt_embedding
+    return draw(m, n, make_rng(derive_seed(seed, *key)))
 
 
 @dataclass(frozen=True)
@@ -130,13 +127,16 @@ def make_plan(
         produces the all-identity plan; a ``None`` entry marks that single
         mode as identity.
     variant:
-        ``"gaussian"``, ``"fjlt"`` or ``"identity"`` for the non-identity
-        modes.
+        The map drawn for every mode that has a target: ``"gaussian"``,
+        ``"fjlt"``, or ``"identity"``, which only takes targets equal to
+        the extents.
     second_stage:
-        ``None``, or ``(m_prime, variant)`` for a final embedding of the
-        vectorized intermediate tensor; ``m_prime`` follows the rule for a
-        per-mode target.  ``m_prime=None`` with variant ``"identity"`` keeps
-        the intermediate dimension.
+        ``None``, or a pair ``(m_prime, variant)`` for one final embedding
+        of the vectorized intermediate tensor; ``m_prime`` follows the rule
+        for a per-mode target.  An identity stage, ``(None, "identity")`` or
+        ``m_prime`` equal to the intermediate dimension, is no stage: the
+        plan's ``second_stage`` is ``None``.  Both variants are checked
+        before any map is drawn.
     seed:
         Master seed, a nonnegative ``int`` or numpy integer (not a bool);
         mode ``j`` uses the derived seed ``(seed, 0, j)`` and the second
@@ -144,8 +144,17 @@ def make_plan(
     """
     seed = _integer(seed, "seed", low=0)
     shape = _shape(shape)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown embedding variant {variant!r}; expected one of {VARIANTS}")
+    if second_stage is None:
+        second_stage = (None, "identity")  # dropped below, like every identity stage
+    if not (isinstance(second_stage, (tuple, list)) and len(second_stage) == 2):
+        raise ValueError(f"second_stage must be None or a pair (m_prime, variant), "
+                         f"got {second_stage!r}")
+    m_prime, stage_variant = second_stage
+    for what, v in (("embedding", variant), ("second-stage", stage_variant)):
+        if v not in VARIANTS:
+            raise ValueError(f"unknown {what} variant {v!r}; expected one of {VARIANTS}")
+    if m_prime is None and stage_variant != "identity":
+        raise ValueError("second-stage target dim is required unless identity")
 
     if targets is None:
         targets = [None] * len(shape)
@@ -166,18 +175,11 @@ def make_plan(
         m = _integer(t, f"target dim for mode {mode}")
         embeddings.append(_draw(variant, m, n, seed, _MODE_STREAM, mode))
 
-    stage2: Optional[Embedding] = None
-    if second_stage is not None:
-        m_prime, stage_variant = second_stage
-        source = math.prod(e.m for e in embeddings)
-        if m_prime is None:
-            if stage_variant != "identity":
-                raise ValueError("second-stage target dim is required unless identity")
-            m_prime = source
-        m_prime = _integer(m_prime, "second-stage target dim")
-        stage2 = _draw(stage_variant, m_prime, source, seed, _STAGE2_STREAM)
-
-    return SketchPlan(shape, tuple(embeddings), stage2, variant, seed)
+    source = math.prod(e.m for e in embeddings)
+    m_prime = source if m_prime is None else _integer(m_prime, "second-stage target dim")
+    stage2 = _draw(stage_variant, m_prime, source, seed, _STAGE2_STREAM)
+    return SketchPlan(shape, tuple(embeddings),
+                      None if stage2.kind == "identity" else stage2, variant, seed)
 
 
 def plan_from_descriptor(text: str) -> SketchPlan:
@@ -255,11 +257,10 @@ def _sketch_all_but_one(plan: SketchPlan, X: DenseTensor) -> Iterator[DenseTenso
 
 
 def sketch_full(plan: SketchPlan, X: DenseTensor) -> np.ndarray:
-    """Two-stage sketch: vectorize the modewise sketch, then apply the
-    second-stage embedding."""
-    if plan.second_stage is None:
-        raise ValueError("plan has no second stage; use sketch_modewise")
-    return plan.second_stage.apply(vectorize(sketch_modewise(plan, X)))
+    """The whole sketch as a vector: the modewise sketch vectorized, then
+    the second-stage embedding if the plan has one."""
+    flat = vectorize(sketch_modewise(plan, X))
+    return flat if plan.second_stage is None else plan.second_stage.apply(flat)
 
 
 def sketch_rank1(
@@ -304,11 +305,11 @@ def vector_subspace_sketch(
     """Sketch a long vector by reshaping it into a d-mode cube first.
 
     The vector is zero-padded up to the smallest d-th power, reshaped
-    colexicographically, and pushed through a two-stage sketch.  ``targets``
+    colexicographically, and sketched by :func:`sketch_full`.  ``targets``
     may be a per-mode sequence, a single ``int`` or numpy integer used for
     every mode (a bool is rejected), or a float compression ratio (see
-    :func:`make_plan`).  When no second stage is requested an identity
-    stage is used, so the result is the vectorized modewise sketch.
+    :func:`make_plan`).  Without a second stage the result is the
+    vectorized modewise sketch.
     """
     d = _integer(d, "d", low=2)
     x = _scalars(x).ravel()
@@ -321,8 +322,5 @@ def vector_subspace_sketch(
 
     if isinstance(targets, (int, np.integer)) and not isinstance(targets, bool):
         targets = (targets,) * d
-    if second_stage is None:
-        second_stage = (None, "identity")
-    plan = make_plan(cube.shape, targets, variant, second_stage, seed)
-    return sketch_full(plan, cube)
+    return sketch_full(make_plan(cube.shape, targets, variant, second_stage, seed), cube)
 

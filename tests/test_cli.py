@@ -339,6 +339,28 @@ class TestNormExp:
         assert main(flags) == 0
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
+    def test_identity_second_stage_is_no_stage(self, tmp_path, variant):
+        model, X = synthesize(SynthSpec((20, 20, 20), 4, "gaussian", seed=1))
+        for cs, stage in [([0.2, 0.5], (None, "identity")), ([0.5], (10 ** 3, "identity"))]:
+            want = norm_experiment(X, cs, 3, variant, seed=5)
+            got = norm_experiment(X, cs, 3, variant, seed=5, second_stage=stage)
+            assert [r.value for r in got] == [r.value for r in want]
+        path = tmp_path / "cube.dten"
+        write_tensor(path, X)
+        flags = ["norm-exp", "--input", str(path), "--cs", "0.2,0.5", "--trials", "3",
+                 "--seed", "5", "--variant", variant]
+        assert main(flags + ["--out", str(tmp_path / "none.csv")]) == 0
+        assert main(flags + ["--second-stage", "identity", "--out", str(tmp_path / "id.csv")]) == 0
+        none, staged = ((tmp_path / f).read_text().splitlines() for f in ("none.csv", "id.csv"))
+        assert staged[1:] == none[1:]
+        assert staged[0].endswith(" --second-stage identity --out " + str(tmp_path / "id.csv"))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError) as info:
+            norm_experiment(DenseTensor(np.ones((4, 4))), [], 2)
+        assert str(info.value) == "need at least one compression ratio"
+
     def test_timing_flag_adds_wall_times(self, tmp_path):
         out = tmp_path / "n.csv"
         main(["norm-exp", "--shape", "6,6", "--rank", "1", "--cs", "0.5",
@@ -637,6 +659,23 @@ class TestArgumentHandling:
             main(["sketch", "--input", str(tmp_path / "d.dten"), "--cs", "0.5",
                   "--targets", "5,4,3", "--out", str(tmp_path / "s.dten")])
         assert exc.value.code != 0
+
+    def test_malformed_integer_list_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--shape", "3,x", "--rank", "1", "--out", str(tmp_path / "x.dten")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "modesketch gen: error: argument --shape: expected comma-separated integers, "
+            "got '3,x'")
+
+    @pytest.mark.parametrize("extra", [[], ["--shape", "4,4"], ["--rank", "2"]],
+                             ids=["neither", "shape-only", "rank-only"])
+    def test_sweep_needs_input_or_shape_and_rank(self, tmp_path, capsys, extra):
+        out = tmp_path / "x.csv"
+        assert main(["ls-exp", "--cs", "0.5", "--out", str(out)] + extra) == 1
+        assert capsys.readouterr().err == (
+            "error: either --input or both --shape and --rank are required\n")
+        assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

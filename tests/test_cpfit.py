@@ -202,7 +202,7 @@ def test_unstaged_solves_form_no_design(solve, monkeypatch):
         raise AssertionError("the normal-equations path formed a design or a vectorized copy")
 
     monkeypatch.setattr("modesketch.cpfit.khatri_rao_design", forbidden)
-    monkeypatch.setattr("modesketch.cpfit.vectorize", forbidden)
+    monkeypatch.setattr("modesketch.sketch.vectorize", forbidden)
     got = solve(X, model.factors)
     assert np.array_equal(getattr(got, "coefficients", got), getattr(want, "coefficients", want))
 
@@ -471,13 +471,32 @@ def test_unstaged_solves_sketch_no_tensor(solve, monkeypatch):
     def forbidden(*args):
         raise AssertionError("an unstaged solve sketched the tensor")
 
-    monkeypatch.setattr("modesketch.cpfit.sketch_modewise", forbidden)
+    monkeypatch.setattr("modesketch.sketch.sketch_modewise", forbidden)
     monkeypatch.setattr("modesketch.cpfit.sketch_full", forbidden)
     got = solve(X, model.factors)
     assert np.array_equal(getattr(got, "coefficients", got), getattr(want, "coefficients", want))
     with pytest.raises(AssertionError, match="sketched the tensor"):
         compressed_ls_coefficients(X, model.factors,
                                    make_plan(X.shape, 0.5, second_stage=(40, "gaussian")))
+
+
+@pytest.mark.parametrize("targets,variant", [(None, "identity"), (0.5, "gaussian"),
+                                             (0.5, "fjlt")], ids=["exact", "gaussian", "fjlt"])
+def test_identity_second_stage_is_the_unstaged_solve(targets, variant, monkeypatch):
+    model, X = synthesize(SynthSpec((12, 10, 8), 3, "gaussian", seed=29))
+    X = X + 0.1 * DenseTensor(np.random.default_rng(31).standard_normal(X.shape))
+    plain = make_plan(X.shape, targets, variant, seed=4)
+    want = compressed_ls_coefficients(X, model.factors, plain)
+
+    def forbidden(*args):
+        raise AssertionError("an identity second stage formed the design")
+
+    monkeypatch.setattr("modesketch.cpfit.khatri_rao_design", forbidden)
+    for stage in [(None, "identity"), (plain.intermediate_dim, "identity")]:
+        got = compressed_ls_coefficients(X, model.factors,
+                                         make_plan(X.shape, targets, variant, stage, seed=4))
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert got.gram_cond == want.gram_cond
 
 
 def block_size(data, rank):
@@ -742,6 +761,11 @@ class TestCpAls:
         assert len(history) == len(want_history) == 5
         for a, b in zip(history, want_history):
             assert abs(a.e_cpd - b.e_cpd) <= 1e-10
+
+    def test_one_mode_rejected(self):
+        with pytest.raises(ValueError) as info:
+            cp_als(DenseTensor(np.arange(1.0, 5.0)), 1)
+        assert str(info.value) == "alternating least squares needs at least two modes"
 
     def test_rank_one_exact_fit(self):
         _, X = synthesize(SynthSpec((12, 10, 11), 1, "gaussian", seed=701))

@@ -143,6 +143,17 @@ class TestFJLT:
             x = RNG.standard_normal(8) + 1j * RNG.standard_normal(8)
             assert rel_err(e.apply(x), dense @ x) < 1e-10
 
+    @pytest.mark.parametrize("signs,rows,message", [
+        (np.ones((2, 2)), np.array([0]), "signs and rows must be one-dimensional"),
+        (np.ones(3), np.zeros((1, 1), dtype=int), "signs and rows must be one-dimensional"),
+        (np.ones(3), np.array([], dtype=int), "need 1 <= m <= n, got m=0, n=3"),
+        (np.ones(2), np.array([0, 1, 2]), "need 1 <= m <= n, got m=3, n=2"),
+    ], ids=["2d-signs", "2d-rows", "no-rows", "too-many-rows"])
+    def test_malformed_fields_fail_in_one_line(self, signs, rows, message):
+        with pytest.raises(ValueError) as info:
+            FJLTEmbedding(signs, rows)
+        assert str(info.value) == message
+
     def test_zero_maps_to_zero(self):
         e = fjlt_embedding(5, 16, make_rng(2))
         np.testing.assert_array_equal(e.apply(np.zeros(16)), np.zeros(5))

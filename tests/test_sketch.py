@@ -155,6 +155,49 @@ class TestMakePlan:
         assert plan.second_stage.n == 4
         assert plan.output_dim == 3
 
+    @pytest.mark.parametrize("stage", [(None, "identity"), (6, "identity")],
+                             ids=["no-dim", "intermediate-dim"])
+    def test_identity_second_stage_is_no_stage(self, stage):
+        plan = make_plan((4, 5), (2, 3), "fjlt", second_stage=stage, seed=9)
+        assert plan.second_stage is None
+        assert plan.descriptor() == make_plan((4, 5), (2, 3), "fjlt", seed=9).descriptor()
+
+    @pytest.mark.parametrize("targets,variant,stage,message", [
+        ((2, 3), "fjlt", (5, "identity"), "identity marker cannot change dimension 6 to 5"),
+        ((4, 2), "identity", None, "identity marker cannot change dimension 5 to 2"),
+    ], ids=["second-stage", "mode"])
+    def test_identity_cannot_resize(self, targets, variant, stage, message):
+        with pytest.raises(ValueError) as info:
+            make_plan((4, 5), targets, variant, second_stage=stage, seed=9)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("stage,message", [
+        (5, "second_stage must be None or a pair (m_prime, variant), got 5"),
+        ("identity", "second_stage must be None or a pair (m_prime, variant), got 'identity'"),
+        ((5, "fjlt", 1),
+         "second_stage must be None or a pair (m_prime, variant), got (5, 'fjlt', 1)"),
+        ((5,), "second_stage must be None or a pair (m_prime, variant), got (5,)"),
+        ((None, None), "unknown second-stage variant None; "
+                       "expected one of ('gaussian', 'fjlt', 'identity')"),
+        ((None, "gaussian"), "second-stage target dim is required unless identity"),
+    ], ids=["int", "string", "triple", "single", "no-variant", "no-dim"])
+    def test_malformed_second_stage_fails_in_one_line(self, stage, message):
+        with pytest.raises(ValueError) as info:
+            make_plan((4, 4), None, "gaussian", second_stage=stage)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("variant", ["gaussian", "fjlt"])
+    def test_unknown_stage_variant_fails_before_any_draw(self, variant, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a map was drawn before the variants were checked")
+
+        monkeypatch.setattr("modesketch.sketch.gaussian_embedding", forbidden)
+        monkeypatch.setattr("modesketch.sketch.fjlt_embedding", forbidden)
+        with pytest.raises(ValueError) as info:
+            make_plan((4, 4), (2, 2), variant, second_stage=(3, "hadamard"))
+        assert str(info.value) == ("unknown second-stage variant 'hadamard'; "
+                                   "expected one of ('gaussian', 'fjlt', 'identity')")
+
 
 class TestSketchModewise:
     def test_fjlt_against_dense_oracle(self):
@@ -419,9 +462,13 @@ class TestSketchFull:
         assert rel_err(got, want) < 1e-9
 
     def test_missing_second_stage(self):
-        plan = make_plan((4, 4), (2, 2), "gaussian")
-        with pytest.raises(ValueError):
-            sketch_full(plan, random_tensor(RNG, (4, 4)))
+        # A plan without a second stage sketches to its vectorized modewise sketch.
+        X = random_tensor(RNG, (4, 5, 3))
+        for variant in ("gaussian", "fjlt"):
+            plan = make_plan((4, 5, 3), (2, 3, 2), variant, seed=8)
+            assert plan.second_stage is None
+            np.testing.assert_array_equal(sketch_full(plan, X),
+                                          vectorize(sketch_modewise(plan, X)))
 
     def test_linearity(self):
         plan = make_plan((5, 6, 4), (3, 3, 3), "fjlt", second_stage=(7, "gaussian"), seed=2)
@@ -519,6 +566,25 @@ class TestVectorSubspaceSketch:
         with pytest.raises(ValueError):
             vector_subspace_sketch(np.ones(8), 1, 4)
 
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError) as info:
+            vector_subspace_sketch(np.ones(0), 2, 1)
+        assert str(info.value) == "cannot sketch an empty vector"
+
+    def test_builds_no_second_stage(self, monkeypatch):
+        plans = []
+
+        def recording(*args, **kwargs):
+            plans.append(make_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr("modesketch.sketch.make_plan", recording)
+        x = RNG.standard_normal(27)
+        got = vector_subspace_sketch(x, 3, 2, "fjlt", seed=4)
+        assert [p.second_stage for p in plans] == [None]
+        cube = DenseTensor(x.reshape((3, 3, 3), order="F"))
+        np.testing.assert_array_equal(got, vectorize(sketch_modewise(plans[0], cube)))
+
 
 class TestDescriptor:
     @pytest.mark.parametrize("second", [None, (5, "gaussian"), (5, "fjlt"),
@@ -566,15 +632,15 @@ class TestDescriptor:
 
         for a, b in zip(plan.mode_embeddings, clone.mode_embeddings, strict=True):
             same(a, b)
-        if second is None:
-            assert clone.second_stage is None
+        if second is None or second[1] == "identity":  # an identity stage is no stage
+            assert plan.second_stage is None and clone.second_stage is None
         else:
             same(plan.second_stage, clone.second_stage)
         # Random maps draw from the documented streams: (seed, 0, mode) for
         # mode maps, (seed, 1) for the second stage.
         makers = {"gaussian": gaussian_embedding, "fjlt": fjlt_embedding}
         streams = [(e, (0, mode)) for mode, e in enumerate(plan.mode_embeddings)]
-        streams += [(plan.second_stage, (1,))] if second is not None else []
+        streams += [(plan.second_stage, (1,))] if plan.second_stage is not None else []
         for e, key in streams:
             if e.kind != "identity":
                 same(e, makers[e.kind](e.m, e.n, make_rng(derive_seed(seed, *key))))

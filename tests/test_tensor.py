@@ -129,6 +129,11 @@ class TestModeProduct:
         Y = mode_product(X, np.eye(2), 1)
         np.testing.assert_array_equal(Y.data, X.data)
 
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError) as info:
+            mode_product(cube123(), np.ones(2), 0)
+        assert str(info.value) == "expected a matrix, got array of ndim 1"
+
     def test_row_sum_map(self):
         # summing each mode-0 fiber of the 1..8 cube
         Y = mode_product(cube123(), np.array([[1.0, 1.0]]), 0)
@@ -416,6 +421,16 @@ class TestKhatriRao:
     def test_column_mismatch(self):
         with pytest.raises(ValueError):
             khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
+
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError) as info:
+            khatri_rao(np.ones((2, 2)), np.ones(2))
+        assert str(info.value) == "khatri_rao expects two matrices"
+
+    def test_design_needs_a_factor(self):
+        with pytest.raises(ValueError) as info:
+            khatri_rao_design([])
+        assert str(info.value) == "need at least one factor matrix"
 
     def test_design_matrix_matches_vectorized_rank_one(self):
         factors = [random_matrix(RNG, n, 3) for n in (2, 4, 3)]

@@ -1,4 +1,5 @@
-"""Run a fixed corpus of modesketch CLI calls and keep everything they write.
+"""Run a fixed corpus of modesketch CLI calls and library least-squares
+solves, and keep everything they write.
 
     python3 tools/cli_corpus.py OUTDIR
 
@@ -7,9 +8,20 @@ files it writes and the paths it prints are relative.  Call ``NN`` leaves
 ``NN.log``: the command line, standard output, standard error and the exit
 status.  The corpus covers every subcommand, every second stage, synthetic
 and file input, non-uniform shapes, and exact and sketched fits of 2, 3 and
-4 modes, and pins the one-line errors of a few rejected calls.  Two runs of
-the same source tree must give byte-identical directories (``diff -r``);
-two trees can be compared file by file to list the outputs a change moved.
+4 modes, and pins the one-line errors of a few rejected calls.
+
+After the calls, ``ls.solves.txt`` gets one line per single-plan solve of
+a fixed set: ``ls_coefficients`` (with a reference, so ``c_n_alpha`` is
+set), ``compressed_ls_coefficients`` and ``decoupled_ls_slice`` on 2- to
+4-mode tensors; C-ordered, F-ordered and strided data; real and complex
+data; Gaussian, FJLT and identity plans, with and without a second stage;
+and every slice mode with and without a plan.  A line is labelled by the
+solve's inputs and holds the coefficients' dtype and the ``repr`` of each
+coefficient, the Gram condition number and ``c_n_alpha``.
+
+Two runs of the same source tree must give byte-identical directories
+(``diff -r``); two trees can be compared file by file, and
+``ls.solves.txt`` line by line, to list the outputs a change moved.
 """
 
 import contextlib
@@ -20,6 +32,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
+from modesketch import (DenseTensor, SynthSpec, compressed_ls_coefficients,  # noqa: E402
+                        decoupled_ls_slice, ls_coefficients, make_plan, synthesize)
 from modesketch.cli import main  # noqa: E402
 
 CALLS = [
@@ -94,6 +110,73 @@ CALLS = [
 ]
 
 
+SHAPES = [(9, 7), (8, 6, 10), (5, 4, 3, 6)]
+RANK = 3
+# (targets, variant, second stage); "half" takes half the intermediate dimension
+PLANS = [
+    (None, "identity", None),
+    (None, "identity", (None, "identity")),
+    (0.6, "gaussian", None),
+    (0.6, "fjlt", None),
+    ("mixed", "gaussian", None),
+    (0.6, "gaussian", ("half", "gaussian")),
+    (0.6, "fjlt", ("half", "fjlt")),
+    (0.6, "gaussian", ("half", "fjlt")),
+]
+
+
+def layouts(data):
+    """``data`` C-ordered, F-ordered, and strided with no contiguous axis."""
+    wide = np.zeros(data.shape[:-1] + (2 * data.shape[-1],), dtype=data.dtype)
+    wide[..., ::2] = data
+    return {"C": np.ascontiguousarray(data), "F": np.asfortranarray(data),
+            "strided": wide[..., ::2]}
+
+
+def plan_for(shape, targets, variant, second, seed):
+    if targets == "mixed":  # one identity mode among sketched ones
+        targets = [None] + [max(1, (6 * n) // 10) for n in shape[1:]]
+    if second is not None and second[0] == "half":
+        inner = make_plan(shape, targets, variant, seed=seed)
+        second = (max(RANK, inner.intermediate_dim // 2), second[1])
+    return make_plan(shape, targets, variant, second, seed)
+
+
+def solves():
+    """Yield ``(label, LsSolution or coefficient array)`` for every problem."""
+    for s, shape in enumerate(SHAPES):
+        model, T = synthesize(SynthSpec(shape, RANK, "gaussian", seed=s))
+        rng = np.random.default_rng(100 + s)
+        for kind in ("real", "complex"):
+            noise = rng.standard_normal(shape)
+            if kind == "complex":
+                noise = noise + 1j * rng.standard_normal(shape)
+            for layout, data in layouts(T.data + 0.1 * noise).items():
+                X = DenseTensor(data, copy=False)
+                tag = f"{shape} {kind} {layout}"
+                exact = ls_coefficients(X, model.factors)
+                yield f"{tag} exact", ls_coefficients(X, model.factors, exact.coefficients)
+                for p, spec in enumerate(PLANS):
+                    plan = plan_for(shape, *spec, seed=10 * s + p)
+                    yield (f"{tag} plan {spec}",
+                           compressed_ls_coefficients(X, model.factors, plan,
+                                                      exact.coefficients))
+                for mode in range(len(shape)):
+                    reduced = shape[:mode] + shape[mode + 1:]
+                    yield f"{tag} slice {mode}", decoupled_ls_slice(X, model.factors, mode, 1)
+                    for variant in ("gaussian", "fjlt"):
+                        plan = make_plan(reduced, 0.6, variant, seed=mode)
+                        yield (f"{tag} slice {mode} {variant}",
+                               decoupled_ls_slice(X, model.factors, mode, 1, plan))
+
+
+def solve_line(label: str, solution) -> str:
+    coefficients = getattr(solution, "coefficients", solution)
+    return (f"{label}: {coefficients.dtype.str} {coefficients.tolist()!r} "
+            f"gram_cond={getattr(solution, 'gram_cond', None)!r} "
+            f"c_n_alpha={getattr(solution, 'c_n_alpha', None)!r}\n")
+
+
 def run_call(number: int, line: str) -> None:
     argv = line.split()
     out, err = io.StringIO(), io.StringIO()
@@ -114,6 +197,8 @@ def run(outdir: Path) -> None:
     os.chdir(outdir)
     for number, line in enumerate(CALLS, start=1):
         run_call(number, line)
+    Path("ls.solves.txt").write_text("".join(solve_line(*s) for s in solves()),
+                                     encoding="utf-8", newline="\n")
 
 
 if __name__ == "__main__":
