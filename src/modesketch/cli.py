@@ -25,7 +25,7 @@ from pathlib import Path
 from . import tensorfile
 from .cpfit import SynthSpec, cp_als, synthesize
 from .diagnostics import coherence
-from .harness import (_grid, ls_experiment, norm_experiment, summarize,
+from .harness import (_check_grid, ls_experiment, norm_experiment, summarize,
                       write_records_csv, write_replay_csv)
 from .sketch import make_plan, sketch_modewise
 from .tensor import DenseTensor, norm
@@ -150,7 +150,7 @@ def _cmd_norm_exp(args, invocation: str) -> int:
 
 def _cmd_ls_exp(args, invocation: str) -> int:
     X, model = _load_data(args)
-    _grid(X.shape, args.cs, args.trials, args.seed)  # fail before any fit
+    _check_grid(X.shape, args.cs, args.trials)  # fail before any fit
     if model is None:
         if args.rank is None:
             raise ValueError("--rank is required when the input has no synthesis "

@@ -8,7 +8,8 @@ second stage neither the design nor the sketched tensor is formed: the
 Gram is the Hadamard product of the sketched factor Grams, and a block's
 projections come from one r-column-per-plan pass over the tensor against
 the sketched factors pulled back through each map's adjoint (``S^H S A``).
-Second stages and the fallback take ``S X`` from :func:`sketch_full`.  A badly
+The fallback takes ``S X`` from :func:`sketch_full`; a second stage maps
+the design and the modewise sketch of ``X`` through one draw.  A badly
 conditioned Gram sends the solve to an SVD-based least-squares fallback on
 the design, and a rank-deficient basis raises :class:`DegenerateBasisError`.
 
@@ -30,9 +31,10 @@ import numpy as np
 
 from .diagnostics import CpModel, draw_unit_factors
 from .embeddings import _SWEEP_STREAM, derive_seed, make_rng
-from .sketch import SketchPlan, _sketch_all_but_one, make_plan, sketch_full
+from .sketch import (SketchPlan, _apply_stage, _sketch_all_but_one, make_plan, sketch_full,
+                     sketch_modewise)
 from .tensor import (DenseTensor, _check_axis, _contract, _integer, _shape, khatri_rao_design,
-                     norm, unfold)
+                     norm, unfold, vectorize)
 
 __all__ = [
     "DegenerateBasisError",
@@ -197,7 +199,7 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray],
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite data fails in _solve_ls
             sketched = [[e.apply(f) for e, f in zip(plan.mode_embeddings, factors)]
                         for plan in block]
-            unstaged = [k for k, plan in enumerate(block) if plan.second_stage is None]
+            unstaged = [k for k, plan in enumerate(block) if plan.stage is None]
             projected = {}
             if unstaged:
                 pulled = [[e.adjoint(s) for e, s in zip(block[k].mode_embeddings, sketched[k])]
@@ -214,12 +216,14 @@ def _sketched_ls(X: DenseTensor, factors: Sequence[np.ndarray],
 def _solve_sketched(X: DenseTensor, plan: SketchPlan, sketched: list[np.ndarray],
                     projected: Optional[np.ndarray]) -> LsSolution:
     """One plan's solve from its sketched factors and, without a second
-    stage, its projection ``(*_l S_l^H S_l A_l)^H vec X``."""
-    if plan.second_stage is None:
+    stage, its projection ``(*_l S_l^H S_l A_l)^H vec X``.  A second stage
+    maps the design and the modewise sketch of ``X`` from one draw."""
+    if plan.stage is None:
         gram = _gram_hadamard(sketched)
         system = lambda: (khatri_rao_design(sketched), sketch_full(plan, X))  # noqa: E731
     else:
-        design, x_p = plan.second_stage.apply(khatri_rao_design(sketched)), sketch_full(plan, X)
+        design, x_p = _apply_stage(plan, khatri_rao_design(sketched),
+                                   vectorize(sketch_modewise(plan, X)))
         gram, projected = design.conj().T @ design, x_p @ design.conj()
         system = lambda: (design, x_p)  # noqa: E731
     return LsSolution(*_solve_ls(gram, projected, system,

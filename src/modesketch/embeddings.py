@@ -249,14 +249,19 @@ def gaussian_embedding(m: int, n: int, rng: np.random.Generator) -> GaussianEmbe
     return GaussianEmbedding(rng.standard_normal((m, n)) / math.sqrt(m))
 
 
+def _check_restriction(m: int, n: int) -> None:
+    """Reject a restriction that keeps more rows than the transform has."""
+    if _integer(m, "m") > _integer(n, "n"):
+        raise ValueError(f"restriction cannot oversample: need 1 <= m <= n, got m={m}, n={n}")
+
+
 def fjlt_embedding(m: int, n: int, rng: np.random.Generator) -> FJLTEmbedding:
     """Draw the sign diagonal and a sorted without-replacement restriction.
 
     Draw order is fixed (signs first, then rows) so a seed fully determines
     the operator.
     """
-    if _integer(m, "m") > _integer(n, "n"):
-        raise ValueError(f"restriction cannot oversample: need 1 <= m <= n, got m={m}, n={n}")
+    _check_restriction(m, n)
     signs = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
     rows = np.sort(rng.choice(n, size=m, replace=False))
     return FJLTEmbedding(signs, rows)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cpfit import _norm_of, _sketched_ls, relative_norm
+from .cpfit import _norm_of, _sketched_ls
 from .embeddings import _TRIAL_STREAM, derive_seed
 from .sketch import make_plan, sketch_full, sketch_modewise, targets_from_ratio
 from .tensor import DenseTensor, _integer, norm
@@ -48,14 +48,10 @@ class ExperimentRecord:
     wall_ms: float
 
 
-def _grid(shape: Sequence[int], cs_values: Sequence[float], trials: int,
-          seed: int) -> list[tuple[float, int, int]]:
-    """The validated sweep as ``(c_s, trial, trial seed)`` points.
-
-    The trial seed is derived from ``(seed, c_s index, trial)``.  Every ratio
-    is resolved against ``shape`` up front so a bad one fails before any
-    trial runs.
-    """
+def _check_grid(shape: Sequence[int], cs_values: Sequence[float],
+                trials: int) -> list[float]:
+    """The sweep's ratios as floats, each resolved against ``shape`` so a
+    bad one, or a trial count below one, fails before any trial runs."""
     ratios = [float(c) for c in cs_values]
     if not ratios:
         raise ValueError("need at least one compression ratio")
@@ -63,8 +59,16 @@ def _grid(shape: Sequence[int], cs_values: Sequence[float], trials: int,
         targets_from_ratio(shape, c)
     if _integer(trials, "trials", low=None) < 1:
         raise ValueError("need at least one trial")
+    return ratios
+
+
+def _grid(shape: Sequence[int], cs_values: Sequence[float], trials: int,
+          seed: int) -> list[tuple[float, int, int]]:
+    """The validated sweep as ``(c_s, trial, trial seed)`` points; the
+    trial seed is derived from ``(seed, c_s index, trial)``."""
     return [(cs, t, derive_seed(seed, _TRIAL_STREAM, ci, t))
-            for ci, cs in enumerate(ratios) for t in range(trials)]
+            for ci, cs in enumerate(_check_grid(shape, cs_values, trials))
+            for t in range(trials)]
 
 
 def norm_experiment(
@@ -91,7 +95,7 @@ def norm_experiment(
         t0 = time.perf_counter()
         plan = make_plan(X.shape, cs, variant, second_stage, trial_seed)
         # Norms need no vector: an unstaged sketch skips sketch_full's vectorize copy.
-        sketch = sketch_modewise if plan.second_stage is None else sketch_full
+        sketch = sketch_modewise if plan.stage is None else sketch_full
         value = _norm_of(sketch(plan, X)) / norm_x
         wall = (time.perf_counter() - t0) * 1e3
         records.append(ExperimentRecord("norm/c_n_X", cs, t, trial_seed,
@@ -126,11 +130,12 @@ def ls_experiment(
         wall = (time.perf_counter() - start) * 1e3 / len(block)
         if reference is None:
             reference, block = block[0].coefficients, block[1:]
-            if _norm_of(reference) == 0.0:
+            reference_norm = _norm_of(reference)  # each ratio's denominator
+            if reference_norm == 0.0:
                 raise ValueError("exact least-squares solution is zero; ratios undefined")
         for solution, (cs, t, trial_seed) in zip(block, points):
-            ratio = relative_norm(solution.coefficients, reference)
-            err = relative_norm(solution.coefficients - reference, reference)
+            ratio = _norm_of(solution.coefficients) / reference_norm
+            err = _norm_of(solution.coefficients - reference) / reference_norm
             records.append(ExperimentRecord("ls/c_n_alpha", cs, t, trial_seed,
                                             "c_n_alpha", ratio, wall))
             records.append(ExperimentRecord("ls/alpha_rel_err", cs, t, trial_seed,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,12 +25,13 @@ from .embeddings import (
     _STAGE2_STREAM,
     Embedding,
     IdentityEmbedding,
+    _check_restriction,
     derive_seed,
     fjlt_embedding,
     gaussian_embedding,
     make_rng,
 )
-from .tensor import DenseTensor, _integer, _scalars, _shape, vectorize
+from .tensor import DenseTensor, _contract, _integer, _scalars, _shape, vectorize
 
 __all__ = [
     "SketchPlan",
@@ -45,6 +46,10 @@ __all__ = [
 
 VARIANTS = ("gaussian", "fjlt", "identity")
 
+# A Gaussian second stage is drawn and applied this many scalars of its
+# matrix at a time (2 MB): whole rows, at least one.
+_STAGE_BLOCK_SCALARS = 2 ** 18
+
 
 def targets_from_ratio(shape: Sequence[int], ratio: float) -> tuple[int, ...]:
     """Per-mode target dims ``ceil(ratio * n_j)`` for a compression ratio."""
@@ -53,24 +58,48 @@ def targets_from_ratio(shape: Sequence[int], ratio: float) -> tuple[int, ...]:
     return tuple(math.ceil(ratio * n) for n in _shape(shape))
 
 
-def _draw(variant: str, m: int, n: int, seed: int, *key: int) -> Embedding:
+def _check_size(variant: str, m: int, n: int) -> None:
+    """Reject an ``m x n`` map that ``variant`` cannot make: an identity
+    that changes the dimension, or a restriction that oversamples."""
+    if variant == "identity" and m != n:
+        raise ValueError(f"identity marker cannot change dimension {n} to {m}")
+    if variant == "fjlt":
+        _check_restriction(m, n)
+
+
+def _draw(variant: str, m: int, n: int, stream: int) -> Embedding:
     """An ``m x n`` embedding of a checked variant; a random one draws from
-    the stream ``derive_seed(seed, *key)``, the identity marker nothing."""
+    the seed ``stream``, the identity marker nothing."""
+    _check_size(variant, m, n)
     if variant == "identity":
-        if m != n:
-            raise ValueError(f"identity marker cannot change dimension {n} to {m}")
         return IdentityEmbedding(n)
     draw = gaussian_embedding if variant == "gaussian" else fjlt_embedding
-    return draw(m, n, make_rng(derive_seed(seed, *key)))
+    return draw(m, n, make_rng(stream))
+
+
+class _Stage(NamedTuple):
+    """A second stage as a plan records it: the row count, the variant and
+    the seed of the stream its map is drawn from."""
+
+    m: int
+    kind: str
+    stream: int
 
 
 @dataclass(frozen=True)
 class SketchPlan:
-    """Per-mode embeddings plus an optional second-stage embedding."""
+    """Per-mode embeddings plus an optional second stage.
+
+    The per-mode maps are drawn and stored: sweeps, factor applies and
+    adjoints use each of them several times.  The second stage is recorded
+    in ``stage`` (``None`` for none) and drawn as it is applied, so a
+    Gaussian stage never exists as an ``m' x N`` matrix; reading
+    :attr:`second_stage` pays the full draw.
+    """
 
     shape: tuple[int, ...]
     mode_embeddings: tuple[Embedding, ...]
-    second_stage: Optional[Embedding]
+    stage: Optional[_Stage]
     variant: str
     seed: int
 
@@ -89,14 +118,22 @@ class SketchPlan:
 
     @property
     def output_dim(self) -> int:
-        return self.second_stage.m if self.second_stage is not None else self.intermediate_dim
+        return self.stage.m if self.stage is not None else self.intermediate_dim
+
+    @property
+    def second_stage(self) -> Optional[Embedding]:
+        """The second-stage embedding, drawn in full on every read (``m' N``
+        normals for a Gaussian stage), or ``None`` without a stage."""
+        if self.stage is None:
+            return None
+        return _draw(self.stage.kind, self.stage.m, self.intermediate_dim, self.stage.stream)
 
     def descriptor(self) -> str:
         """Deterministic one-line text form from which the plan can be rebuilt."""
         targets = ",".join(
             "id" if e.kind == "identity" else str(e.m) for e in self.mode_embeddings
         )
-        stage = self.second_stage
+        stage = self.stage
         second = "none" if stage is None else f"{stage.m}:{stage.kind}"
         shape = ",".join(str(n) for n in self.shape)
         return (f"sketchplan v1 shape={shape} targets={targets} "
@@ -135,8 +172,11 @@ def make_plan(
         of the vectorized intermediate tensor; ``m_prime`` follows the rule
         for a per-mode target.  An identity stage, ``(None, "identity")`` or
         ``m_prime`` equal to the intermediate dimension, is no stage: the
-        plan's ``second_stage`` is ``None``.  Both variants are checked
-        before any map is drawn.
+        plan's ``stage`` and ``second_stage`` are ``None``.  Any other stage
+        is recorded, not drawn: a Gaussian one is drawn block by block as
+        :func:`sketch_full` applies it, and reading ``plan.second_stage``
+        draws the whole map.  Both variants and the stage's size are
+        checked before any map is drawn.
     seed:
         Master seed, a nonnegative ``int`` or numpy integer (not a bool);
         mode ``j`` uses the derived seed ``(seed, 0, j)`` and the second
@@ -167,19 +207,18 @@ def make_plan(
     if len(targets) != len(shape):
         raise ValueError(f"{len(targets)} targets for a {len(shape)}-mode tensor")
 
-    embeddings: list[Embedding] = []
-    for mode, (n, t) in enumerate(zip(shape, targets)):
-        if t is None:
-            embeddings.append(_draw("identity", n, n, seed))
-            continue
-        m = _integer(t, f"target dim for mode {mode}")
-        embeddings.append(_draw(variant, m, n, seed, _MODE_STREAM, mode))
-
-    source = math.prod(e.m for e in embeddings)
+    dims = [n if t is None else _integer(t, f"target dim for mode {mode}")
+            for mode, (n, t) in enumerate(zip(shape, targets))]
+    source = math.prod(dims)
     m_prime = source if m_prime is None else _integer(m_prime, "second-stage target dim")
-    stage2 = _draw(stage_variant, m_prime, source, seed, _STAGE2_STREAM)
-    return SketchPlan(shape, tuple(embeddings),
-                      None if stage2.kind == "identity" else stage2, variant, seed)
+    _check_size(stage_variant, m_prime, source)
+    stage = (None if stage_variant == "identity"
+             else _Stage(m_prime, stage_variant, derive_seed(seed, _STAGE2_STREAM)))
+    embeddings = tuple(
+        IdentityEmbedding(n) if t is None
+        else _draw(variant, m, n, derive_seed(seed, _MODE_STREAM, mode))
+        for mode, (n, t, m) in enumerate(zip(shape, targets, dims)))
+    return SketchPlan(shape, embeddings, stage, variant, seed)
 
 
 def plan_from_descriptor(text: str) -> SketchPlan:
@@ -258,9 +297,37 @@ def _sketch_all_but_one(plan: SketchPlan, X: DenseTensor) -> Iterator[DenseTenso
 
 def sketch_full(plan: SketchPlan, X: DenseTensor) -> np.ndarray:
     """The whole sketch as a vector: the modewise sketch vectorized, then
-    the second-stage embedding if the plan has one."""
+    the second-stage embedding if the plan has one.  A Gaussian stage is
+    drawn as it is applied (:func:`_apply_stage`), about 2 MB of its matrix
+    at a time; the values are those of ``plan.second_stage.apply``, whose
+    read of ``plan.second_stage`` pays the full draw."""
     flat = vectorize(sketch_modewise(plan, X))
-    return flat if plan.second_stage is None else plan.second_stage.apply(flat)
+    return flat if plan.stage is None else _apply_stage(plan, flat)[0]
+
+
+def _apply_stage(plan: SketchPlan, *operands) -> list[np.ndarray]:
+    """The plan's second stage applied to each operand, a vector or the
+    columns of a matrix, from one draw of its map.  A Gaussian stage is
+    drawn into one buffer of ``_STAGE_BLOCK_SCALARS // N`` rows (at least
+    one) at a time, each block scaled in place as :func:`gaussian_embedding`
+    scales the whole matrix, so its rows are ``plan.second_stage.matrix``'s
+    bit for bit and no ``m' x N`` array exists."""
+    m, kind, stream = plan.stage
+    if kind == "fjlt":
+        stage = plan.second_stage
+        return [stage.apply(x) for x in operands]
+    n = plan.intermediate_dim
+    operands = [_scalars(x) for x in operands]
+    outs = [np.empty((m,) + x.shape[1:], dtype=x.dtype) for x in operands]
+    rng, rows, scale = make_rng(stream), max(1, _STAGE_BLOCK_SCALARS // n), math.sqrt(m)
+    buffer = np.empty((min(rows, m), n))  # every block is drawn into it
+    for start in range(0, m, rows):
+        block = buffer[:m - start]
+        rng.standard_normal(out=block)
+        block /= scale
+        for x, out in zip(operands, outs):
+            out[start:start + rows] = _contract(block, x, 0)
+    return outs
 
 
 def sketch_rank1(

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .tensor import DenseTensor, _shape, vectorize
+from .tensor import DenseTensor, _shape
 
 __all__ = ["write_tensor", "read_tensor", "write_sidecar", "read_sidecar", "sidecar_path"]
 
@@ -28,21 +28,32 @@ VERSION = 1
 KIND_REAL = 0
 KIND_COMPLEX = 1
 
+# Fewest scalars write_tensor puts in one write (32 KB of real payload).
+_MIN_RUN = 2 ** 12
+
 
 def write_tensor(path: Union[str, Path], X: DenseTensor) -> None:
-    """Write a DTEN file; a payload that ``read_tensor`` would refuse is not written."""
-    flat = vectorize(X)
-    if not np.isfinite(flat).all():
+    """Write a DTEN file; a payload that ``read_tensor`` would refuse is not written.
+
+    The payload goes out in runs of last-mode slabs, each a contiguous
+    range of the colexicographic order, so a C-ordered tensor is reordered
+    one run at a time; a run holds one slab, or enough slabs for
+    ``_MIN_RUN`` scalars.
+    """
+    data = X.data
+    if not np.isfinite(data).all():
         raise ValueError(f"{path}: payload holds NaN or infinite values")
-    kind = KIND_COMPLEX if np.iscomplexobj(flat) and np.any(flat.imag) else KIND_REAL
+    kind = KIND_COMPLEX if np.iscomplexobj(data) and np.any(data.imag) else KIND_REAL
     header = MAGIC + bytes([VERSION, kind, X.ndim]) + struct.pack(f"<{X.ndim}Q", *X.shape)
-    # A copy only where the payload is not one little-endian run already:
-    # the real part of a complex array, or a byte-swapped machine.
-    payload = (np.ascontiguousarray(flat.real, dtype="<f8") if kind == KIND_REAL
-               else np.ascontiguousarray(flat, dtype="<c16"))
+    step = max(1, _MIN_RUN // math.prod(X.shape[:-1]))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        for k in range(0, X.shape[-1], step):
+            run = data[..., k:k + step].ravel(order="F")
+            # A copy only where the run is not one little-endian block already:
+            # the real part of a complex array, or a byte-swapped machine.
+            fh.write(np.ascontiguousarray(run.real, dtype="<f8") if kind == KIND_REAL
+                     else np.ascontiguousarray(run, dtype="<c16"))
 
 
 def read_tensor(path: Union[str, Path]) -> DenseTensor:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from modesketch import (CpModel, DenseTensor, SynthSpec, compressed_ls_coefficients, cp_als,
                         ls_coefficients, make_plan, synthesize)
-from modesketch import cli
+from modesketch import cli, harness
 from modesketch.cli import main
 from modesketch.harness import ExperimentRecord, _grid, norm_experiment, write_records_csv
 from modesketch.tensorfile import read_sidecar, read_tensor, sidecar_path, write_tensor
@@ -74,10 +74,11 @@ class TestTensorFile:
         write_tensor(b, DenseTensor(np.asarray(values + 0j, order=order)))
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("order, limit", [("F", 0.25), ("C", 1.25)])
+    @pytest.mark.parametrize("order, limit", [("F", 0.25), ("C", 0.25)])
     def test_write_copies_the_payload_at_most_once(self, tmp_path, order, limit):
         # F-ordered data is the payload already; C-ordered data is
-        # reordered once.  The isfinite mask adds an eighth either way.
+        # reordered one last-mode slab at a time.  The isfinite mask adds
+        # an eighth either way.
         X = DenseTensor(np.asarray(RNG.standard_normal((64, 64, 64)), order=order))
         tracemalloc.start()
         try:
@@ -87,6 +88,16 @@ class TestTensorFile:
             tracemalloc.stop()
         assert peak <= limit * X.data.nbytes
         assert np.array_equal(read_tensor(tmp_path / "big.dten").data, X.data)
+
+    @pytest.mark.parametrize("shape", [(10_000,), (3, 5_000), (4, 3, 2_000)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_payload_written_in_runs_is_colexicographic(self, tmp_path, shape, order):
+        # Slabs smaller than a run are grouped; the last run is partial.
+        X = DenseTensor(np.asarray(RNG.standard_normal(shape), order=order))
+        path = tmp_path / "runs.dten"
+        write_tensor(path, X)
+        payload = path.read_bytes()[7 + 8 * len(shape):]
+        assert payload == X.data.ravel(order="F").astype("<f8").tobytes()
 
     def test_real_payload_is_compact(self, tmp_path):
         X = DenseTensor(np.ones((10, 10)))
@@ -536,6 +547,18 @@ class TestLsExp:
                      "--out", str(tmp_path / "l.csv")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "l.csv").exists()
+
+    def test_grid_seeds_are_derived_once(self, tmp_path, monkeypatch):
+        derived = []
+
+        def recording(*key, original=harness.derive_seed):
+            derived.append(key)
+            return original(*key)
+
+        monkeypatch.setattr("modesketch.harness.derive_seed", recording)
+        assert main(["ls-exp", "--shape", "8,8,8", "--rank", "2", "--cs", "0.4,0.8",
+                     "--trials", "3", "--seed", "7", "--out", str(tmp_path / "l.csv")]) == 0
+        assert derived == [(7, 4, ci, t) for ci in range(2) for t in range(3)]
 
     @pytest.mark.parametrize("flags, iters, tol", [([], 50, 1e-6),
                                                    (["--iters", "7", "--tol", "0.5"], 7, 0.5)])

@@ -30,7 +30,7 @@ from modesketch import (
     unfold,
     vectorize,
 )
-from modesketch import cpfit
+from modesketch import cpfit, sketch
 from modesketch.cli import main
 from modesketch.cpfit import (GRAM_COND_LIMIT, GRAM_ERROR_FLOOR, _contract_factors,
                               _gram_hadamard, _sketched_ls)
@@ -286,6 +286,22 @@ def test_huge_finite_coefficients_give_finite_ratios():
             rel=1e-12)
 
 
+def test_ls_experiment_takes_the_reference_norm_once(monkeypatch):
+    model, X = synthesize(SynthSpec((8, 8, 8), 2, "gaussian", seed=5))
+    want = ls_experiment(X, model.factors, [0.4, 0.8], 3, seed=7)
+    norms = []
+
+    def recording(obj, original=cpfit._norm_of):
+        norms.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr("modesketch.cpfit._norm_of", recording)
+    monkeypatch.setattr("modesketch.harness._norm_of", recording)
+    got = ls_experiment(X, model.factors, [0.4, 0.8], 3, seed=7)
+    assert len(norms) == 1 + 2 * 6  # the reference, then each trial's two numerators
+    assert [r.value for r in got] == [r.value for r in want]
+
+
 @pytest.mark.parametrize("x", [np.arange(5.0), np.array([3.0 - 4.0j, 1e-300]),
                                np.random.default_rng(5).standard_normal(7), np.zeros(3),
                                np.array([np.inf, 1.0]), np.array([np.nan, 1.0])])
@@ -472,12 +488,39 @@ def test_unstaged_solves_sketch_no_tensor(solve, monkeypatch):
         raise AssertionError("an unstaged solve sketched the tensor")
 
     monkeypatch.setattr("modesketch.sketch.sketch_modewise", forbidden)
+    monkeypatch.setattr("modesketch.cpfit.sketch_modewise", forbidden)
     monkeypatch.setattr("modesketch.cpfit.sketch_full", forbidden)
     got = solve(X, model.factors)
     assert np.array_equal(getattr(got, "coefficients", got), getattr(want, "coefficients", want))
     with pytest.raises(AssertionError, match="sketched the tensor"):
         compressed_ls_coefficients(X, model.factors,
                                    make_plan(X.shape, 0.5, second_stage=(40, "gaussian")))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "fjlt"])
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+def test_staged_solve_draws_the_stage_once(kind, complex_data, monkeypatch):
+    model, X = synthesize(SynthSpec((9, 8, 7), 3, "gaussian", seed=12))
+    noise = np.random.default_rng(13).standard_normal(X.shape) * (1j if complex_data else 1)
+    X = X + 0.1 * DenseTensor(noise)
+    plan = make_plan(X.shape, 0.6, "gaussian", (40, kind), seed=14)
+    # N = 150 in blocks of 6 rows: 40 rows end on a partial block.
+    monkeypatch.setattr("modesketch.sketch._STAGE_BLOCK_SCALARS", 6 * plan.intermediate_dim)
+    stage = plan.second_stage  # the stored map, drawn before the streams are recorded
+    streams = []
+
+    def recording(seed, original=sketch.make_rng):
+        streams.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr("modesketch.sketch.make_rng", recording)
+    got = compressed_ls_coefficients(X, model.factors, plan)
+    assert streams == [plan.stage.stream]
+    sketched = [e.apply(f) for e, f in zip(plan.mode_embeddings, model.factors)]
+    design = stage.apply(khatri_rao_design(sketched))
+    want = np.linalg.lstsq(design, stage.apply(vectorize(sketch_modewise(plan, X))),
+                           rcond=None)[0]
+    assert rel_err(got.coefficients, want) < 1e-12
 
 
 @pytest.mark.parametrize("targets,variant", [(None, "identity"), (0.5, "gaussian"),

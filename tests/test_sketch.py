@@ -34,7 +34,7 @@ from modesketch import (
     vectorize,
 )
 from modesketch.embeddings import GaussianEmbedding, IdentityEmbedding
-from modesketch.sketch import _cost_order, _sketch_all_but_one
+from modesketch.sketch import _apply_stage, _cost_order, _sketch_all_but_one
 
 from helpers import layouts, random_tensor, record_mode_products, rel_err, without_mode
 
@@ -493,6 +493,93 @@ class TestSketchFull:
             ratio = np.linalg.norm(sketch_full(plan, D)) ** 2 / nd2
             hits += 0.5 <= ratio <= 1.5
         assert hits >= 190
+
+
+class TestStreamedStage:
+    """A Gaussian second stage is recorded by the plan and drawn block by
+    block as it is applied; ``plan.second_stage`` draws the whole map."""
+
+    # A 4 x 5 x 3 tensor sketched to 2 x 3 x 2 has N = 12; blocks of 48
+    # scalars hold 4 rows.
+    SHAPE, TARGETS, BLOCK = (4, 5, 3), (2, 3, 2), 48
+
+    @pytest.mark.parametrize("m_prime", [1, 3, 4, 10, 12],
+                             ids=["one-row", "below-block", "one-block", "partial-last",
+                                  "whole-blocks"])
+    @pytest.mark.parametrize("columns", [(), (3,)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_matches_the_drawn_map(self, m_prime, columns, complex_entries, monkeypatch):
+        monkeypatch.setattr("modesketch.sketch._STAGE_BLOCK_SCALARS", self.BLOCK)
+        plan = make_plan(self.SHAPE, self.TARGETS, "gaussian", (m_prime, "gaussian"), seed=6)
+        x = RNG.standard_normal((12,) + columns)
+        if complex_entries:
+            x = x + 1j * RNG.standard_normal(x.shape)
+        got = _apply_stage(plan, x)[0]
+        assert got.shape == (m_prime,) + columns and got.dtype == x.dtype
+        assert rel_err(got, plan.second_stage.apply(x)) < 1e-13
+
+    def test_operands_share_one_draw(self, monkeypatch):
+        monkeypatch.setattr("modesketch.sketch._STAGE_BLOCK_SCALARS", self.BLOCK)
+        plan = make_plan(self.SHAPE, self.TARGETS, "gaussian", (10, "gaussian"), seed=6)
+        design, x = RNG.standard_normal((12, 3)), RNG.standard_normal(12) * 1j
+        both = _apply_stage(plan, design, x)
+        np.testing.assert_array_equal(both[0], _apply_stage(plan, design)[0])
+        np.testing.assert_array_equal(both[1], _apply_stage(plan, x)[0])
+
+    def test_blocks_at_the_default_size(self):
+        # N = 27,000 makes blocks of 9 rows, so 20 rows end on a partial block.
+        X = random_tensor(RNG, (30, 30, 30))
+        plan = make_plan(X.shape, None, "identity", (20, "gaussian"), seed=3)
+        assert plan.intermediate_dim == 27_000
+        got = sketch_full(plan, X)
+        assert rel_err(got, plan.second_stage.apply(vectorize(X))) < 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_second_stage_is_todays_map(self, seed):
+        plan = make_plan(self.SHAPE, self.TARGETS, "fjlt", (7, "gaussian"), seed=seed)
+        want = gaussian_embedding(7, 12, make_rng(derive_seed(seed, 1)))
+        assert plan.stage.stream == derive_seed(seed, 1)
+        np.testing.assert_array_equal(plan.second_stage.matrix, want.matrix)
+
+    def test_plan_holds_no_stage_matrix(self):
+        # The stored matrix would take 8 TB.
+        plan = make_plan((1000, 1000), None, "identity", (10 ** 6, "gaussian"), seed=1)
+        assert plan.output_dim == 10 ** 6 and plan.stage.m == 10 ** 6
+
+    def test_sketch_full_peak_is_one_block(self):
+        X = DenseTensor(RNG.standard_normal((30, 30, 30)), copy=False)
+        plan = make_plan(X.shape, None, "identity", (100, "gaussian"), seed=8)
+        assert plan.output_dim * plan.intermediate_dim * 8 >= 20e6
+        tracemalloc.start()
+        try:
+            got = sketch_full(plan, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert rel_err(got, plan.second_stage.apply(vectorize(X))) < 1e-13
+
+    @pytest.mark.parametrize("stage,message", [
+        ((7, "fjlt"), "restriction cannot oversample: need 1 <= m <= n, got m=7, n=6"),
+        ((5, "identity"), "identity marker cannot change dimension 6 to 5"),
+        ((2.5, "gaussian"), "second-stage target dim must be an integer of at least 1, got 2.5"),
+    ], ids=["fjlt-oversamples", "identity-resizes", "non-integer"])
+    def test_bad_stage_fails_before_any_draw(self, stage, message, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a map was drawn before the second stage was checked")
+
+        monkeypatch.setattr("modesketch.sketch.make_rng", forbidden)
+        with pytest.raises(ValueError) as info:
+            make_plan((4, 5), (2, 3), "gaussian", second_stage=stage, seed=9)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("stage", [(5, "gaussian"), (5, "fjlt")])
+    def test_descriptor_is_unchanged(self, stage):
+        plan = make_plan((6, 7, 8), (3, None, 4), "fjlt", stage, seed=77)
+        text = ("sketchplan v1 shape=6,7,8 targets=3,id,4 variant=fjlt "
+                f"second=5:{stage[1]} seed=77")
+        assert plan.descriptor() == text
+        assert plan_from_descriptor(text).stage == plan.stage
 
 
 class TestSketchRank1:

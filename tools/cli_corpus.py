@@ -107,6 +107,10 @@ CALLS = [
     # Exact fits of 2 and 4 modes: the dimension tree's halves of 1 + 1 and 2 + 2 modes.
     "cpals --input flat.dten --rank 3 --iters 6 --out-prefix fit.flat",
     "cpals --input quad.dten --rank 2 --iters 6 --out-prefix fit.quad.exact",
+    # A Gaussian second stage drawn as it is applied: 300 rows on N = 27,000
+    # make 33 blocks of 9 rows and a partial block of 3.
+    "norm-exp --shape 30,30,30 --rank 2 --gen-seed 4 --cs 1 --trials 2 --seed 5 "
+    "--second-stage 300:gaussian --out norm.blocks.csv",
 ]
 
 
